@@ -656,7 +656,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="run shards on N worker processes")
     fuzz_p.add_argument("--oracle", action="append", metavar="NAME",
                         choices=("opt", "timing", "golden", "analyze",
-                                 "replay", "tv"),
+                                 "replay", "tv", "vm"),
                         help="oracle to run (repeatable; default: all)")
     fuzz_p.add_argument("--shrink", action="store_true",
                         help="minimize each diverging program and print it")

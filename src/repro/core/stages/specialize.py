@@ -40,8 +40,12 @@ Cache keying: ``(kernel code salt, canonical describe_machine JSON)``.
 The code salt hashes the composed generic source plus this module, so
 editing any stage or the folding rules invalidates every entry; the
 machine description includes ``CONFIG_SCHEMA_VERSION``, so a schema
-bump does too.  ``repro-cc perf --emit-kernel <config>`` dumps the
-generated source for inspection.
+bump does too.  The composition the salt hashes is built once and reused
+by every specialization under that salt; the folded tree is compiled
+directly, and source text is rendered only on request
+(:func:`cached_source`, :func:`emit_source`): ``repro-cc perf
+--emit-kernel <config>`` dumps it for inspection.  :func:`clear_cache`
+drops the kernels, the salt and the composition.
 
 Bit-identity is enforced the same way as for the generic kernel:
 ``tests/core/test_kernel_specialize.py`` pins specialized == portable
@@ -259,10 +263,10 @@ def _stage_globals() -> Dict[str, Any]:
     return g
 
 
-def specialize_source(processor, state) -> str:
-    """Build the specialized kernel source for ``processor.config``."""
-    source = compose_source()
-    tree = ast.parse(source)
+def _specialize(processor, state) -> Tuple[ast.Module, Dict[str, Any]]:
+    """The folded kernel tree for ``processor.config``, and the names
+    folded into it."""
+    tree = ast.parse(_composition())
     fn = tree.body[0]
     if not isinstance(fn, ast.FunctionDef):  # pragma: no cover
         raise SpecializeError("composed source is not a function")
@@ -287,23 +291,50 @@ def specialize_source(processor, state) -> str:
         const_map["gates"] = None
     if not const_map:
         raise SpecializeError("no foldable config constants found")
+    return _fold(tree, const_map), const_map
 
+
+def _fold(tree: ast.Module, const_map: Dict[str, Any]) -> ast.Module:
     folded = _Folder(const_map).visit(tree)
     ast.fix_missing_locations(folded)
-    header = (f"# specialized kernel: "
-              f"{processor.config.notation()} "
+    return folded
+
+
+def _render(notation: str, folded: ast.Module,
+            const_map: Dict[str, Any]) -> str:
+    """The folded tree as source text, under its ``# specialized kernel``
+    header."""
+    header = (f"# specialized kernel: {notation} "
               f"[{json.dumps(sorted(const_map))}]\n")
     return header + ast.unparse(folded)
 
 
+def specialize_source(processor, state) -> str:
+    """Build the specialized kernel source for ``processor.config``."""
+    folded, const_map = _specialize(processor, state)
+    return _render(processor.config.notation(), folded, const_map)
+
+
 # ---------------------------------------------------------------- cache
 
-#: machine-description key -> (kernel, source) | (None, None) fallback.
-_CACHE: Dict[str, Tuple[Optional[Any], Optional[str]]] = {}
+#: machine-description key -> (kernel, folded names, notation), or
+#: (None, None, notation) for the generic fallback.  The source text is
+#: rendered only on request (:func:`cached_source`).
+_CACHE: Dict[str, Tuple[Optional[Any], Optional[Dict[str, Any]], str]] = {}
 #: Compilation counter, exposed for the cache tests.
 compile_count = 0
 
 _SALT: Optional[str] = None
+#: The composed generic source ``_SALT`` hashes: composed once per salt
+#: and reused by every specialization under it.
+_COMPOSED: Optional[str] = None
+
+
+def _composition() -> str:
+    global _COMPOSED
+    if _COMPOSED is None:
+        _COMPOSED = compose_source()
+    return _COMPOSED
 
 
 def kernel_salt() -> str:
@@ -311,7 +342,7 @@ def kernel_salt() -> str:
     global _SALT
     if _SALT is None:
         h = hashlib.sha256()
-        h.update(compose_source().encode("utf-8"))
+        h.update(_composition().encode("utf-8"))
         with open(__file__, "rb") as fh:
             h.update(fh.read())
         _SALT = h.hexdigest()[:16]
@@ -328,10 +359,11 @@ def cache_key(config) -> str:
 
 
 def clear_cache() -> None:
-    """Drop every cached kernel (tests)."""
-    global _SALT
+    """Drop every cached kernel, the salt and the composition (tests)."""
+    global _SALT, _COMPOSED
     _CACHE.clear()
     _SALT = None
+    _COMPOSED = None
 
 
 def kernel_for(processor, state):
@@ -348,22 +380,31 @@ def kernel_for(processor, state):
     if hit is not None:
         return hit[0]
     try:
-        src = specialize_source(processor, state)
-        code = compile(src, "<repro.core.stages.specialize>", "exec")
+        folded, const_map = _specialize(processor, state)
+        # The folded tree compiles directly; no text round trip.
+        code = compile(folded, "<repro.core.stages.specialize>", "exec")
         g = _stage_globals()
         exec(code, g)
         kernel = g["_fused_run"]
         compile_count += 1
     except SpecializeError:
-        kernel = src = None
-    _CACHE[key] = (kernel, src)
+        kernel = const_map = None
+    _CACHE[key] = (kernel, const_map, processor.config.notation())
     return kernel
 
 
 def cached_source(config) -> Optional[str]:
-    """The generated source for a cached config (inspection/tests)."""
+    """The generated source for a cached config (inspection/tests).
+
+    Re-folds the composition with the cached names, which rebuilds the
+    exact tree the kernel was compiled from.
+    """
     hit = _CACHE.get(cache_key(config))
-    return hit[1] if hit is not None else None
+    if hit is None or hit[1] is None:
+        return None
+    _kernel, const_map, notation = hit
+    folded = _fold(ast.parse(_composition()), const_map)
+    return _render(notation, folded, const_map)
 
 
 def emit_source(config) -> str:

@@ -1,4 +1,4 @@
-"""The differential oracles: six independent ways to catch a bug.
+"""The differential oracles: seven independent ways to catch a bug.
 
 ``opt``
     Compile the program at ``-O0`` and with the optimizer on, run both on
@@ -45,6 +45,16 @@
     catches a pass that *lies* about what it did, even when the
     miscompile happens not to change architectural results.
 
+``vm``
+    Run the optimized build on the predecoded
+    :class:`repro.vm.machine.Machine` and on the frozen seed interpreter
+    :class:`repro.perf.reference_vm.ReferenceMachine`
+    (:func:`repro.perf.golden.diff_machines`): every ``DynInst`` slot,
+    the trace statistics, the output, exit code, instruction count,
+    registers and memory words must match.  This is the oracle that
+    catches a handler the predecoder gets wrong on a shape the golden
+    programs never execute.
+
 A divergence is **data**, not an exception: campaigns collect and report
 them; only infrastructure failures raise.
 """
@@ -60,7 +70,8 @@ from repro.lang import CompilerOptions, compile_source
 from repro.vm.machine import Machine
 
 #: Every oracle, in the order campaigns run them.
-ALL_ORACLES = ("opt", "timing", "golden", "analyze", "replay", "tv")
+ALL_ORACLES = ("opt", "timing", "golden", "analyze", "replay", "tv",
+               "vm")
 
 #: The paper's Figure 9 machine — fast forwarding and combining on, which
 #: exercises the most timing-core machinery per fuzzed trace.
@@ -300,6 +311,14 @@ def check_tv(source: str, name: str) -> List[Divergence]:
     return out
 
 
+def check_vm(vm: Machine, max_instructions: int) -> List[Divergence]:
+    """The predecoded VM vs the frozen seed VM on *vm*'s program."""
+    from repro.perf.golden import diff_machines
+
+    return [Divergence("vm", repr(m))
+            for m in diff_machines(vm.program, max_instructions)]
+
+
 def run_oracles(
     source: str,
     name: str = "<fuzz>",
@@ -353,6 +372,8 @@ def run_oracles(
         divergences.extend(check_analyze(source, vm_opt, name))
     if "tv" in oracles:
         divergences.extend(check_tv(source, name))
+    if "vm" in oracles:
+        divergences.extend(check_vm(vm_opt, max_instructions))
     return divergences
 
 

@@ -13,6 +13,13 @@ with the live core (those layers carry the modelled state machines), so a
 comparison here exercises exactly the parts the optimization rewrote: the
 pipeline loop, the calendar queue, the issue lanes, and the memory-queue
 index maintenance.
+
+The same harness holds the functional VM to its frozen seed interpreter:
+:func:`diff_machines` runs a program on :class:`repro.vm.machine.Machine`
+and on :class:`repro.perf.reference_vm.ReferenceMachine` and reports
+every field that differs — each ``DynInst`` slot, every ``TraceStats``
+count and the frame-size histogram, the output, exit code, instruction
+count, registers, memory words and any fault raised.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
+from repro.isa.program import Program
 from repro.perf.reference import ReferenceProcessor
+from repro.perf.reference_vm import ReferenceMachine
+from repro.vm.machine import Machine
 from repro.vm.trace import DynInst
 
 #: The configuration axes of the paper's evaluation, by notation.  The
@@ -140,3 +150,92 @@ def check_equivalence(
                 compare_on_trace(insts, config, workload, config_name,
                                  optimized=optimized, reference=reference))
     return mismatches
+
+
+# -- the functional VM --------------------------------------------------------
+
+#: ``TraceStats`` counts compared by :func:`diff_machines` (the frame-size
+#: histogram is compared bin by bin).
+_TRACE_STATS_FIELDS = ("instructions", "loads", "stores", "local_loads",
+                       "local_stores", "sp_based_refs", "ambiguous_refs",
+                       "calls", "max_call_depth")
+
+
+def _run_vm(machine_type: Type, program: Program, max_instructions: int,
+            trace: bool):
+    """Run one VM; a raised error becomes ``(type name, message)``."""
+    vm = machine_type(program, trace=trace)
+    try:
+        vm.run(max_instructions=max_instructions)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return vm, (type(exc).__name__, str(exc))
+    return vm, None
+
+
+def _vm_state(vm, error) -> Dict[str, object]:
+    """Every scalar field of a finished VM that must match."""
+    return {
+        "error": error, "exit_code": vm.exit_code,
+        "instructions_executed": vm.instructions_executed, "pc": vm.pc,
+        "brk": vm.brk, "output": vm.output, "call_depth": vm.call_depth,
+        "current_frame_id": vm.current_frame_id,
+        "traced": vm.trace is not None,
+    }
+
+
+def diff_machines(program: Program,
+                  max_instructions: int = 50_000_000,
+                  trace: bool = True,
+                  machine: Type = Machine,
+                  reference: Type = ReferenceMachine) -> List[Mismatch]:
+    """Run *program* on both VMs and report every field that differs.
+
+    Values are compared by ``repr``, so an int where the reference holds
+    a float (or a bool) is a mismatch too.  Registers, memory words and
+    trace entries report the first differing element only.
+    """
+    name = program.source_name
+    label = f"budget {max_instructions}" + ("" if trace else ", untraced")
+    expected, want_error = _run_vm(reference, program, max_instructions,
+                                   trace)
+    actual, got_error = _run_vm(machine, program, max_instructions, trace)
+    out: List[Mismatch] = []
+
+    def compare(field: str, want, got) -> bool:
+        if repr(want) == repr(got):
+            return True
+        out.append(Mismatch(name, label, field, want, got))
+        return False
+
+    want_state = _vm_state(expected, want_error)
+    got_state = _vm_state(actual, got_error)
+    for field in want_state:
+        compare(field, want_state[field], got_state[field])
+    for index, (want, got) in enumerate(zip(expected.regs, actual.regs)):
+        if not compare(f"regs[{index}]", want, got):
+            break
+    want_words = expected.memory.words()
+    got_words = actual.memory.words()
+    for addr in sorted(set(want_words) | set(got_words)):
+        if not compare(f"memory[{addr:#x}]", want_words.get(addr),
+                       got_words.get(addr)):
+            break
+    if expected.trace is None or actual.trace is None:
+        return out
+    want_stats, got_stats = expected.trace.stats, actual.trace.stats
+    for field in _TRACE_STATS_FIELDS:
+        compare(f"stats.{field}", getattr(want_stats, field),
+                getattr(got_stats, field))
+    compare("stats.frame_sizes", list(want_stats.frame_sizes.items()),
+            list(got_stats.frame_sizes.items()))
+    want_insts, got_insts = expected.trace.insts, actual.trace.insts
+    compare("len(insts)", len(want_insts), len(got_insts))
+    for index, (want, got) in enumerate(zip(want_insts, got_insts)):
+        if type(got) is not DynInst:
+            compare(f"insts[{index}] type", DynInst, type(got))
+            break
+        if not all([compare(f"insts[{index}].{slot}", getattr(want, slot),
+                            getattr(got, slot))
+                    for slot in DynInst.__slots__]):
+            break
+    return out

@@ -4,7 +4,9 @@ Kept import-light and top-level so :mod:`concurrent.futures` can ship jobs
 to freshly spawned interpreters on any start method.  Traces are memoised
 per process: a worker that receives several configs of the same workload
 (the common case — the scheduler dispatches jobs in workload order) only
-builds the trace once.
+builds the trace once.  Inline-source traces are kept in a small LRU
+(:data:`SOURCE_TRACE_SLOTS` entries), so a long-lived process holds a
+bounded number of them.
 
 This module registers the ``sim`` job kind and hosts
 :func:`execute_any`, the registry-dispatched executor every pool worker
@@ -19,6 +21,7 @@ job service — can prove a warm pool did zero recompiles on a repeat.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from time import monotonic
 from typing import Any, Dict, Tuple
 
@@ -30,11 +33,29 @@ from repro.runtime.registry import JobKind, kind_for, register_kind
 from repro.trace.mix import MixResult
 from repro.vm.trace import Trace
 
-_SOURCE_TRACES: Dict[Tuple, Trace] = {}
+#: Inline-source traces one process keeps.  Consecutive configs of one
+#: source (the scheduler's order) and ``seed_source_trace`` need one
+#: entry; a few more cover interleaved sources.
+SOURCE_TRACE_SLOTS = 4
+
+#: Source key -> trace, least recently used first.
+_SOURCE_TRACES: "OrderedDict[Tuple, Trace]" = OrderedDict()
 
 #: Per-process count of traces built from inline source text (the named
 #: workload path is counted via ``trace_for``'s lru_cache misses).
 source_build_count = 0
+
+
+def _source_key(job: SimJob) -> Tuple:
+    return (job.workload, job.source_text, job.optimize, job.opt_level,
+            job.max_instructions)
+
+
+def _remember_source_trace(key: Tuple, trace: Trace) -> None:
+    _SOURCE_TRACES[key] = trace
+    _SOURCE_TRACES.move_to_end(key)
+    while len(_SOURCE_TRACES) > SOURCE_TRACE_SLOTS:
+        _SOURCE_TRACES.popitem(last=False)
 
 
 def trace_for_job(job: SimJob) -> Trace:
@@ -43,13 +64,13 @@ def trace_for_job(job: SimJob) -> Trace:
         from repro.experiments.common import trace_for
 
         return trace_for(job.workload, job.scale, job.seed)
-    key = (job.workload, job.source_text, job.optimize, job.opt_level,
-           job.max_instructions)
+    key = _source_key(job)
     cached = _SOURCE_TRACES.get(key)
     if cached is not None:
+        _SOURCE_TRACES.move_to_end(key)
         return cached
     trace = _trace_from_source(job)
-    _SOURCE_TRACES[key] = trace
+    _remember_source_trace(key, trace)
     return trace
 
 
@@ -60,8 +81,7 @@ def seed_source_trace(job: SimJob, trace: Trace) -> None:
     prints trace statistics before timing) seed the memo so fork-started
     workers inherit the trace instead of recompiling.
     """
-    _SOURCE_TRACES[(job.workload, job.source_text, job.optimize,
-                    job.opt_level, job.max_instructions)] = trace
+    _remember_source_trace(_source_key(job), trace)
 
 
 def _trace_from_source(job: SimJob) -> Trace:

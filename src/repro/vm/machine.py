@@ -5,15 +5,50 @@ optionally emitting a dynamic :class:`~repro.vm.trace.Trace` for the timing
 simulator.  The interpreter also maintains the activation-record bookkeeping
 the paper's measurements need: per-call frame sizes (Figure 3), call depth,
 frame ids and ``$sp``-relative offsets (fast data forwarding keys).
+
+Predecode.  :meth:`Machine.run` first decodes every static instruction
+once into a *handler*: a zero-argument closure that executes one dynamic
+instance of its instruction and returns the next pc, so the run loop is
+``pc = handlers[pc]()``.  Decoding binds everything that is the same for
+every dynamic instance: the operands, the register-write rule of the
+destination (writes to ``$zero`` dropped, GPRs wrapped to signed 32 bits,
+FPR values stored as they are, ``$sp`` writes tracking the frame's lowest
+``$sp``), the next pc, and the static ``DynInst`` fields, including one
+``srcs`` tuple shared read-only by every dynamic instance.
+
+Handler contract:
+
+* a handler returns the next pc; it executes its instruction completely
+  (register and memory writes, then its ``DynInst`` when tracing) or
+  raises before any side effect — ``VmError`` for a guest fault, or the
+  Python error the seed interpreter raised in the same place (e.g.
+  ``int()`` of an infinite float);
+* the exit syscall records its ``DynInst`` and raises ``VmExit``; the
+  run loop counts it as executed;
+* a handler whose successor may lie outside the code (register jumps,
+  fall-through past the last instruction, out-of-range branch targets)
+  records that pc and returns ``len(code)``, where a last handler raises
+  the seed's ``pc out of range`` fault — after the budget check, as the
+  seed interpreter did;
+* GPRs always hold ints (every GPR write wraps to one), so integer
+  operands read from GPRs skip the seed's ``int()``; FPR operands keep it.
+
+The run loop keeps the instruction count in a local and leaves the cyclic
+GC off for the run (it allocates only acyclic ``DynInst``, tuple and int
+objects); ``TraceStats`` counts are folded in when the run ends.  The
+frozen seed interpreter, :class:`repro.perf.reference_vm.ReferenceMachine`,
+is the bit-for-bit reference (``docs/perf.md``, "Functional VM").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import gc
+import operator
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VmError, VmExit
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass, Opcode, Syscall
+from repro.isa.opcodes import Fmt, FuClass, Opcode, Syscall
 from repro.isa.program import (
     HEAP_BASE,
     Program,
@@ -21,7 +56,6 @@ from repro.isa.program import (
     STACK_LIMIT,
 )
 from repro.isa.registers import FPR_BASE, Reg, TOTAL_REGS
-from repro.utils import to_signed32
 from repro.vm.memory import SparseMemory
 from repro.vm.trace import DynInst, NO_REG, Trace
 
@@ -31,6 +65,146 @@ _RA = int(Reg.RA)
 _V0 = int(Reg.V0)
 _A0 = int(Reg.A0)
 _F12 = FPR_BASE + 12
+
+_IALU = int(FuClass.IALU)
+_BRANCH = int(FuClass.BRANCH)
+_SYSCALL = int(FuClass.SYSCALL)
+
+#: One decoded instruction: executes a dynamic instance, returns next pc.
+Handler = Callable[[], int]
+
+
+def _wrap32(value: int) -> int:
+    """``to_signed32`` inlined (the same operations, one call)."""
+    return ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+
+
+def _drop(value) -> None:
+    """The write rule of ``$zero``: the value is discarded."""
+
+
+# -- opcode semantics --------------------------------------------------------
+# Value functions on the seed interpreter's converted operands.  Integer
+# operations take ints (``int()`` of each register source is applied at
+# decode time when the source is an FPR); FP operations convert their raw
+# register values themselves, as the seed did.  Division is bound per pc
+# (its fault message names the pc).
+
+def _shift_left(a: int, b: int) -> int:
+    return a << (b & 31)
+
+
+def _shift_right_logical(a: int, b: int) -> int:
+    return (a & 0xFFFFFFFF) >> (b & 31)
+
+
+def _shift_right(a: int, b: int) -> int:
+    return a >> (b & 31)
+
+
+def _less(a: int, b: int) -> int:
+    return 1 if a < b else 0
+
+
+#: ``f(rs, rt or imm)`` for the integer RRR/RRI opcodes.
+_INT_BINARY = {
+    Opcode.ADD: operator.add,
+    Opcode.ADDI: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.AND: operator.and_,
+    Opcode.ANDI: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.ORI: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.XORI: operator.xor,
+    Opcode.NOR: lambda a, b: ~(a | b),
+    Opcode.SLL: _shift_left,
+    Opcode.SLLV: _shift_left,
+    Opcode.SRL: _shift_right_logical,
+    Opcode.SRLV: _shift_right_logical,
+    Opcode.SRA: _shift_right,
+    Opcode.SRAV: _shift_right,
+    Opcode.SLT: _less,
+    Opcode.SLTI: _less,
+    Opcode.SLTU: lambda a, b: _less(a & 0xFFFFFFFF, b & 0xFFFFFFFF),
+    # The multiplier wraps its product before the register write does.
+    Opcode.MUL: lambda a, b: _wrap32(a * b),
+}
+
+#: ``f(rs, rt)`` for the FP RRR opcodes (FDIV is bound per pc).
+_FP_BINARY = {
+    Opcode.FADD: lambda a, b: float(a) + float(b),
+    Opcode.FSUB: lambda a, b: float(a) - float(b),
+    Opcode.FMUL: lambda a, b: float(a) * float(b),
+    Opcode.CLTS: lambda a, b: 1 if float(a) < float(b) else 0,
+    Opcode.CLES: lambda a, b: 1 if float(a) <= float(b) else 0,
+    Opcode.CEQS: lambda a, b: 1 if float(a) == float(b) else 0,
+}
+
+#: ``f(rs, ignored)`` for the RR opcodes (one handler shape serves all
+#: three formats).
+_UNARY = {
+    Opcode.MOVE: lambda a, _: a,
+    Opcode.FNEG: lambda a, _: -float(a),
+    Opcode.FMOV: lambda a, _: float(a),
+    Opcode.CVTSW: lambda a, _: float(int(a)),
+    Opcode.CVTWS: lambda a, _: int(float(a)),
+}
+
+#: Opcodes whose value may be a float: a GPR destination then takes the
+#: full write rule (``int()`` first), not the inline wrap.
+_FLOAT_VALUED = frozenset({
+    Opcode.MOVE, Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
+    Opcode.FNEG, Opcode.FMOV, Opcode.CVTSW, Opcode.LS,
+})
+
+#: Conditional-branch tests ``f(rs, rt)``; one-register branches compare
+#: against ``$zero``, which always reads 0.
+_BRANCH_TESTS = {
+    Opcode.BEQ: operator.eq,
+    Opcode.BNE: operator.ne,
+    Opcode.BLEZ: operator.le,
+    Opcode.BGTZ: operator.gt,
+    Opcode.BLTZ: operator.lt,
+    Opcode.BGEZ: operator.ge,
+}
+
+
+def _divider(pc: int, remainder: bool):
+    """DIV/REM semantics: truncation toward zero, faulting on zero."""
+
+    def divide(a: int, b: int) -> int:
+        if b == 0:
+            raise VmError(f"division by zero at pc={pc}")
+        quotient = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            quotient = -quotient
+        return a - quotient * b if remainder else quotient
+
+    return divide
+
+
+def _fp_divider(pc: int):
+    """FDIV semantics, faulting on a zero divisor."""
+
+    def divide(a, b) -> float:
+        b = float(b)
+        if b == 0.0:
+            raise VmError(f"FP division by zero at pc={pc}")
+        return float(a) / b
+
+    return divide
+
+
+def _int_sources(fn, convert_a: bool, convert_b: bool):
+    """*fn* with the seed's ``int()`` applied to FPR-sourced operands."""
+    if convert_a and convert_b:
+        return lambda a, b: fn(int(a), int(b))
+    if convert_a:
+        return lambda a, b: fn(int(a), b)
+    if convert_b:
+        return lambda a, b: fn(a, int(b))
+    return fn
 
 
 class _Frame:
@@ -77,24 +251,6 @@ class Machine:
                 for i, value in enumerate(item.values):
                     self.memory.store_word(addr + i * 4, value)
 
-    # -- register helpers ---------------------------------------------------
-
-    def _read(self, index: int):
-        return self.regs[index]
-
-    def _write(self, index: int, value) -> None:
-        if index == 0:  # $zero is hardwired
-            return
-        if index < FPR_BASE and isinstance(value, float):
-            value = to_signed32(int(value))
-        elif index < FPR_BASE:
-            value = to_signed32(value)
-        self.regs[index] = value
-        if index == _SP:
-            frame = self._frames[-1]
-            if value < frame.min_sp:
-                frame.min_sp = value
-
     # -- frame bookkeeping ----------------------------------------------------
 
     @property
@@ -133,259 +289,440 @@ class Machine:
         and the (partial) trace remains valid — this is how workloads are
         scaled down.
         """
+        decoded = _Predecoded(self)
+        handlers = decoded.handlers
         code = len(self.program.instructions)
+        pc = self.pc
+        if not 0 <= pc < code:
+            decoded.bad_pc[0] = pc
+            pc = code
+        executed = self.instructions_executed
+        start = executed
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            while self.instructions_executed < max_instructions:
-                if not 0 <= self.pc < code:
-                    raise VmError(f"pc out of range: {self.pc}")
-                self._step(self.program.instructions[self.pc])
+            while executed < max_instructions:
+                pc = handlers[pc]()
+                executed += 1
         except VmExit as exit_:
+            executed += 1
             self.exit_code = exit_.code
             return exit_.code
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+            self.pc = decoded.bad_pc[0] if pc == code else pc
+            self.instructions_executed = executed
+            if self.trace is not None:
+                decoded.fold_stats(self.trace.stats, executed - start)
         self.exit_code = -1
         return -1
-
-    def _step(self, ins: Instruction) -> None:
-        op = ins.op
-        pc = self.pc
-        next_pc = pc + 1
-        regs = self.regs
-        fu = op.fu
-
-        if fu == FuClass.IALU:
-            self._exec_ialu(ins)
-        elif fu == FuClass.LOAD or fu == FuClass.STORE:
-            self._exec_mem(ins, pc)
-            self.instructions_executed += 1
-            self.pc = next_pc
-            return
-        elif fu == FuClass.BRANCH:
-            next_pc = self._exec_branch(ins, pc, next_pc)
-        elif fu == FuClass.IMULT:
-            a, b = regs[ins.rs], regs[ins.rt]
-            self._write(ins.rd, to_signed32(int(a) * int(b)))
-        elif fu == FuClass.IDIV:
-            self._exec_div(ins)
-        elif fu in (FuClass.FADD, FuClass.FMUL, FuClass.FDIV):
-            self._exec_fp(ins)
-        elif fu == FuClass.SYSCALL:
-            self._exec_syscall(ins)
-        elif fu == FuClass.NONE:
-            pass
-        else:
-            raise VmError(f"unhandled opcode {op.mnemonic}")
-
-        if self.trace is not None:
-            self.trace.append(
-                DynInst(int(fu), ins.writes[0] if ins.writes else NO_REG,
-                        ins.reads, pc=pc)
-            )
-        self.instructions_executed += 1
-        self.pc = next_pc
-
-    # -- execution helpers ---------------------------------------------------
-
-    def _exec_ialu(self, ins: Instruction) -> None:
-        op = ins.op
-        regs = self.regs
-        if op is Opcode.ADD:
-            value = int(regs[ins.rs]) + int(regs[ins.rt])
-        elif op is Opcode.ADDI:
-            value = int(regs[ins.rs]) + ins.imm
-        elif op is Opcode.SUB:
-            value = int(regs[ins.rs]) - int(regs[ins.rt])
-        elif op is Opcode.AND:
-            value = int(regs[ins.rs]) & int(regs[ins.rt])
-        elif op is Opcode.ANDI:
-            value = int(regs[ins.rs]) & ins.imm
-        elif op is Opcode.OR:
-            value = int(regs[ins.rs]) | int(regs[ins.rt])
-        elif op is Opcode.ORI:
-            value = int(regs[ins.rs]) | ins.imm
-        elif op is Opcode.XOR:
-            value = int(regs[ins.rs]) ^ int(regs[ins.rt])
-        elif op is Opcode.XORI:
-            value = int(regs[ins.rs]) ^ ins.imm
-        elif op is Opcode.NOR:
-            value = ~(int(regs[ins.rs]) | int(regs[ins.rt]))
-        elif op is Opcode.SLL:
-            value = int(regs[ins.rs]) << (ins.imm & 31)
-        elif op is Opcode.SRL:
-            value = (int(regs[ins.rs]) & 0xFFFFFFFF) >> (ins.imm & 31)
-        elif op is Opcode.SRA:
-            value = int(regs[ins.rs]) >> (ins.imm & 31)
-        elif op is Opcode.SLLV:
-            value = int(regs[ins.rs]) << (int(regs[ins.rt]) & 31)
-        elif op is Opcode.SRLV:
-            value = (int(regs[ins.rs]) & 0xFFFFFFFF) >> (int(regs[ins.rt]) & 31)
-        elif op is Opcode.SRAV:
-            value = int(regs[ins.rs]) >> (int(regs[ins.rt]) & 31)
-        elif op is Opcode.SLT:
-            value = 1 if int(regs[ins.rs]) < int(regs[ins.rt]) else 0
-        elif op is Opcode.SLTI:
-            value = 1 if int(regs[ins.rs]) < ins.imm else 0
-        elif op is Opcode.SLTU:
-            value = 1 if (int(regs[ins.rs]) & 0xFFFFFFFF) < (
-                int(regs[ins.rt]) & 0xFFFFFFFF) else 0
-        elif op is Opcode.LUI:
-            value = ins.imm << 16
-        elif op is Opcode.LI or op is Opcode.LA:
-            value = ins.imm
-        elif op is Opcode.MOVE:
-            value = regs[ins.rs]
-        else:
-            raise VmError(f"unhandled IALU opcode {op.mnemonic}")
-        self._write(ins.rd, value)
-
-    def _exec_div(self, ins: Instruction) -> None:
-        a = int(self.regs[ins.rs])
-        b = int(self.regs[ins.rt])
-        if b == 0:
-            raise VmError(f"division by zero at pc={self.pc}")
-        quotient = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            quotient = -quotient
-        if ins.op is Opcode.DIV:
-            self._write(ins.rd, quotient)
-        else:  # REM
-            self._write(ins.rd, a - quotient * b)
-
-    def _exec_fp(self, ins: Instruction) -> None:
-        op = ins.op
-        regs = self.regs
-        if op is Opcode.FADD:
-            value = float(regs[ins.rs]) + float(regs[ins.rt])
-        elif op is Opcode.FSUB:
-            value = float(regs[ins.rs]) - float(regs[ins.rt])
-        elif op is Opcode.FMUL:
-            value = float(regs[ins.rs]) * float(regs[ins.rt])
-        elif op is Opcode.FDIV:
-            b = float(regs[ins.rt])
-            if b == 0.0:
-                raise VmError(f"FP division by zero at pc={self.pc}")
-            value = float(regs[ins.rs]) / b
-        elif op is Opcode.FNEG:
-            value = -float(regs[ins.rs])
-        elif op is Opcode.FMOV:
-            value = float(regs[ins.rs])
-        elif op is Opcode.CVTSW:
-            value = float(int(regs[ins.rs]))
-        elif op is Opcode.CVTWS:
-            value = int(float(regs[ins.rs]))
-        elif op is Opcode.CLTS:
-            value = 1 if float(regs[ins.rs]) < float(regs[ins.rt]) else 0
-        elif op is Opcode.CLES:
-            value = 1 if float(regs[ins.rs]) <= float(regs[ins.rt]) else 0
-        elif op is Opcode.CEQS:
-            value = 1 if float(regs[ins.rs]) == float(regs[ins.rt]) else 0
-        else:
-            raise VmError(f"unhandled FP opcode {op.mnemonic}")
-        self._write(ins.rd, value)
-
-    def _exec_branch(self, ins: Instruction, pc: int, next_pc: int) -> int:
-        op = ins.op
-        regs = self.regs
-        if op is Opcode.BEQ:
-            taken = regs[ins.rs] == regs[ins.rt]
-        elif op is Opcode.BNE:
-            taken = regs[ins.rs] != regs[ins.rt]
-        elif op is Opcode.BLEZ:
-            taken = int(regs[ins.rs]) <= 0
-        elif op is Opcode.BGTZ:
-            taken = int(regs[ins.rs]) > 0
-        elif op is Opcode.BLTZ:
-            taken = int(regs[ins.rs]) < 0
-        elif op is Opcode.BGEZ:
-            taken = int(regs[ins.rs]) >= 0
-        elif op is Opcode.J:
-            return ins.imm
-        elif op is Opcode.JAL:
-            self._write(_RA, next_pc)
-            self._enter_frame(next_pc)
-            return ins.imm
-        elif op is Opcode.JALR:
-            target = int(regs[ins.rs])
-            self._write(_RA, next_pc)
-            self._enter_frame(next_pc)
-            return target
-        elif op is Opcode.JR:
-            target = int(regs[ins.rs])
-            self._leave_frame(target)
-            return target
-        else:
-            raise VmError(f"unhandled branch opcode {op.mnemonic}")
-        return ins.imm if taken else next_pc
-
-    def _exec_mem(self, ins: Instruction, pc: int) -> None:
-        op = ins.op
-        base = int(self.regs[ins.rs])
-        addr = base + ins.imm
-        if op is Opcode.LW:
-            value = self.memory.load_word(addr)
-            self._write(ins.rd, int(value) if not isinstance(value, float)
-                        else int(value))
-        elif op is Opcode.LS:
-            value = self.memory.load_word(addr)
-            self._write(ins.rd, float(value))
-        elif op is Opcode.LB:
-            self._write(ins.rd, self.memory.load_byte(addr))
-        elif op is Opcode.SW:
-            self.memory.store_word(addr, int(self.regs[ins.rt]))
-        elif op is Opcode.SS:
-            self.memory.store_word(addr, float(self.regs[ins.rt]))
-        elif op is Opcode.SB:
-            self.memory.store_byte(addr, int(self.regs[ins.rt]))
-        else:
-            raise VmError(f"unhandled memory opcode {op.mnemonic}")
-
-        if self.trace is not None:
-            is_local = STACK_LIMIT <= addr < STACK_BASE
-            sp_based = ins.rs == _SP or ins.rs == _FP
-            frame = self._frames[-1]
-            self.trace.append(
-                DynInst(
-                    int(op.fu),
-                    ins.rd if op.is_load else NO_REG,
-                    ins.reads,
-                    addr=addr,
-                    size=ins.mem_size,
-                    local_hint=ins.local,
-                    is_local=is_local,
-                    sp_based=sp_based,
-                    frame_id=frame.frame_id if sp_based else 0,
-                    offset=addr - int(self.regs[_SP]) if sp_based else 0,
-                    pc=pc,
-                )
-            )
-
-    def _exec_syscall(self, ins: Instruction) -> None:
-        call = ins.imm
-        if call == Syscall.EXIT:
-            if self.trace is not None:
-                self.trace.append(
-                    DynInst(int(FuClass.SYSCALL), srcs=(_A0,), pc=self.pc)
-                )
-            self.instructions_executed += 1
-            raise VmExit(int(self.regs[_A0]))
-        if call == Syscall.PRINT_INT:
-            self.output.append(str(int(self.regs[_A0])))
-        elif call == Syscall.PRINT_CHAR:
-            self.output.append(chr(int(self.regs[_A0]) & 0xFF))
-        elif call == Syscall.PRINT_FLOAT:
-            self.output.append(f"{float(self.regs[_F12]):.6g}")
-        elif call == Syscall.SBRK:
-            amount = int(self.regs[_A0])
-            if amount < 0:
-                raise VmError("sbrk with negative amount")
-            self._write(_V0, self.brk)
-            self.brk += (amount + 3) & ~3
-        else:
-            raise VmError(f"unknown syscall {call}")
 
     @property
     def stdout(self) -> str:
         """Everything the guest printed, concatenated."""
         return "".join(self.output)
+
+
+class _Predecoded:
+    """One run's handlers for a machine's program, plus their counters.
+
+    Built at the start of each :meth:`Machine.run` and dropped at its end,
+    so nothing decoded outlives the run or is shared between machines.
+    Handlers close over the machine's register list, memory dict, frame
+    stack and trace list — never over this object, so no reference cycle
+    is formed.
+    """
+
+    def __init__(self, vm: Machine):
+        code = vm.program.instructions
+        self.bad_pc = [len(code)]
+        #: The trace's append, or None when the machine does not trace.
+        self._emit = vm.trace.insts.append if vm.trace is not None else None
+        #: Per-pc executions and stack-region executions of memory ops.
+        self._execs = [0] * len(code)
+        self._local_execs = [0] * len(code)
+        #: (pc, is_load, sp_based, ambiguous) per memory instruction.
+        self._mem_sites: List[Tuple[int, bool, bool, bool]] = []
+        self._vm = vm
+        self.handlers: List[Handler] = [
+            self._decode(ins, pc, len(code)) for pc, ins in enumerate(code)]
+        self.handlers.append(self._pc_fault())
+
+    def fold_stats(self, stats, executed: int) -> None:
+        """Add this run's instruction and memory-reference counts."""
+        stats.instructions += executed
+        execs, local_execs = self._execs, self._local_execs
+        for pc, is_load, sp_based, ambiguous in self._mem_sites:
+            count = execs[pc]
+            if not count:
+                continue
+            if is_load:
+                stats.loads += count
+                stats.local_loads += local_execs[pc]
+            else:
+                stats.stores += count
+                stats.local_stores += local_execs[pc]
+            if sp_based:
+                stats.sp_based_refs += count
+            if ambiguous:
+                stats.ambiguous_refs += count
+
+    # -- decode ----------------------------------------------------------------
+
+    def _writer(self, rd: int) -> Callable[[object], None]:
+        """The full register-write rule for destination *rd*."""
+        regs = self._vm.regs
+        frames = self._vm._frames
+        if rd == 0:  # $zero is hardwired
+            return _drop
+        if rd >= FPR_BASE:
+            def write_fpr(value) -> None:
+                regs[rd] = value
+            return write_fpr
+
+        def write_gpr(value) -> None:
+            if isinstance(value, float):
+                value = int(value)
+            value = _wrap32(value)
+            regs[rd] = value
+            if rd == _SP:
+                frame = frames[-1]
+                if value < frame.min_sp:
+                    frame.min_sp = value
+        return write_gpr
+
+    def _decode(self, ins: Instruction, pc: int, code: int) -> Handler:
+        op = ins.op
+        fmt = op.fmt
+        nxt = pc + 1
+        if op.is_mem:
+            handler = self._memory(ins, pc, nxt)
+        elif fmt is Fmt.RI:
+            handler = self._constant(ins, pc, nxt)
+        elif op.fu is FuClass.BRANCH:
+            handler = self._branch(ins, pc, nxt)
+        elif op.fu is FuClass.SYSCALL:
+            handler = self._syscall(ins, pc, nxt)
+        elif op.fu is FuClass.NONE:
+            handler = self._nop(pc, nxt)
+        else:
+            handler = self._alu(ins, pc, nxt)
+        if op.fu is FuClass.BRANCH and fmt is Fmt.JR:
+            return self._guarded(handler, code)  # a register target
+        if op is Opcode.J or op is Opcode.JAL:
+            successors = (ins.imm,)
+        elif op.fu is FuClass.BRANCH:
+            successors = (nxt, ins.imm)
+        elif op.fu is FuClass.SYSCALL and ins.imm == Syscall.EXIT:
+            successors = ()
+        else:
+            successors = (nxt,)
+        if all(0 <= s < code for s in successors):
+            return handler
+        return self._guarded(handler, code)
+
+    def _guarded(self, handler: Handler, code: int) -> Handler:
+        """Route an out-of-range successor to the pc-fault handler."""
+        bad_pc = self.bad_pc
+
+        def guarded() -> int:
+            nxt = handler()
+            if 0 <= nxt < code:
+                return nxt
+            bad_pc[0] = nxt
+            return code
+        return guarded
+
+    def _pc_fault(self) -> Handler:
+        bad_pc = self.bad_pc
+
+        def pc_fault() -> int:
+            raise VmError(f"pc out of range: {bad_pc[0]}")
+        return pc_fault
+
+    def _rd_rule(self, rd: int, int_valued: bool):
+        """(inline 32-bit wrap?, full write rule) for destination *rd*.
+
+        The common case — an int value into an ordinary GPR — is written
+        inline by the handler; everything else goes through the writer.
+        """
+        inline = int_valued and 0 < rd < FPR_BASE and rd != _SP
+        return inline, self._writer(rd)
+
+    def _constant(self, ins: Instruction, pc: int, nxt: int) -> Handler:
+        """LI/LA/LUI: an ordinary GPR gets its value wrapped at decode."""
+        rd, imm = ins.rd, ins.imm
+        shift = 16 if ins.op is Opcode.LUI else 0
+        inline, write = self._rd_rule(rd, isinstance(imm, int))
+        value = _wrap32(imm << shift) if inline else None
+        srcs = ins.reads
+        regs = self._vm.regs
+        emit = self._emit
+
+        def constant() -> int:
+            if inline:
+                regs[rd] = value
+            else:
+                write(imm << shift)
+            if emit is not None:
+                emit(DynInst(_IALU, rd, srcs, 0, 0, None, False, False,
+                             0, 0, pc))
+            return nxt
+        return constant
+
+    def _alu(self, ins: Instruction, pc: int, nxt: int) -> Handler:
+        """Integer ALU, multiply/divide and FP register operations."""
+        op = ins.op
+        rd, rs, rt = ins.rd, ins.rs, ins.rt
+        fmt = op.fmt
+        fu = int(op.fu)
+        srcs = ins.reads
+        if op is Opcode.DIV or op is Opcode.REM:
+            fn = _divider(pc, op is Opcode.REM)
+        elif op is Opcode.FDIV:
+            fn = _fp_divider(pc)
+        else:
+            fn = _INT_BINARY.get(op) or _FP_BINARY.get(op) or _UNARY[op]
+        if op in _INT_BINARY or op.fu is FuClass.IDIV:
+            fn = _int_sources(fn, rs >= FPR_BASE,
+                              fmt is Fmt.RRR and rt >= FPR_BASE)
+        int_valued = op not in _FLOAT_VALUED or (
+            op is Opcode.MOVE and rs < FPR_BASE)
+        inline, write = self._rd_rule(rd, int_valued)
+        regs = self._vm.regs
+        emit = self._emit
+        if fmt is Fmt.RRR:
+            second, index = regs, rt
+        elif fmt is Fmt.RRI:
+            second, index = (ins.imm,), 0
+        else:  # RR: the second operand is ignored
+            second, index = regs, 0
+
+        def alu() -> int:
+            value = fn(regs[rs], second[index])
+            if inline:
+                regs[rd] = (value if -0x80000000 <= value <= 0x7FFFFFFF
+                            else _wrap32(value))
+            else:
+                write(value)
+            if emit is not None:
+                emit(DynInst(fu, rd, srcs, 0, 0, None, False, False, 0, 0,
+                             pc))
+            return nxt
+        return alu
+
+    def _memory(self, ins: Instruction, pc: int, nxt: int) -> Handler:
+        """Loads and stores, with their local/non-local and frame record."""
+        vm = self._vm
+        op = ins.op
+        is_load = op.is_load
+        rd, rs, rt, imm = ins.rd, ins.rs, ins.rt, ins.imm
+        fu = int(op.fu)
+        dst = rd if is_load else NO_REG
+        srcs = ins.reads
+        size = ins.mem_size
+        hint = ins.local
+        sp_based = rs == _SP or rs == _FP
+        int_base = rs >= FPR_BASE
+        regs = vm.regs
+        memory = vm.memory
+        # Aligned, non-negative word accesses go straight to the backing
+        # dict; every fault goes through SparseMemory, which raises it.
+        words = memory._words
+        words_get = words.get
+        frames = vm._frames
+        emit = self._emit
+        execs, local_execs = self._execs, self._local_execs
+        record = None
+        if emit is not None:
+            self._mem_sites.append((pc, is_load, sp_based, hint is None))
+
+            def record(addr: int) -> None:
+                is_local = STACK_LIMIT <= addr < STACK_BASE
+                if sp_based:
+                    emit(DynInst(fu, dst, srcs, addr, size, hint, is_local,
+                                 True, frames[-1].frame_id,
+                                 addr - regs[_SP], pc))
+                else:
+                    emit(DynInst(fu, dst, srcs, addr, size, hint, is_local,
+                                 False, 0, 0, pc))
+                execs[pc] += 1
+                if is_local:
+                    local_execs[pc] += 1
+
+        if is_load:
+            inline, write = self._rd_rule(rd, op is not Opcode.LS)
+            word = op is Opcode.LW
+            load_word = memory.load_word
+            if op is Opcode.LB:
+                fetch = memory.load_byte
+            elif op is Opcode.LS:
+                def fetch(addr: int) -> float:
+                    return float(load_word(addr))
+
+            def load() -> int:
+                addr = (int(regs[rs]) if int_base else regs[rs]) + imm
+                if word:
+                    if addr < 0 or addr & 3:
+                        load_word(addr)  # raises the fault
+                    value = int(words_get(addr, 0))
+                else:
+                    value = fetch(addr)
+                if inline:
+                    regs[rd] = (value if -0x80000000 <= value <= 0x7FFFFFFF
+                                else _wrap32(value))
+                else:
+                    write(value)
+                if record is not None:
+                    record(addr)
+                return nxt
+            return load
+
+        # A GPR store source already holds a wrapped int: SW writes it
+        # as is.  Other stores go through SparseMemory.
+        word = op is Opcode.SW and rt < FPR_BASE
+        store_word = memory.store_word
+        if op is Opcode.SB:
+            store_byte = memory.store_byte
+
+            def put(addr: int) -> None:
+                store_byte(addr, int(regs[rt]))
+        elif op is Opcode.SS:
+            def put(addr: int) -> None:
+                store_word(addr, float(regs[rt]))
+        else:
+            def put(addr: int) -> None:
+                store_word(addr, int(regs[rt]))
+
+        def store() -> int:
+            addr = (int(regs[rs]) if int_base else regs[rs]) + imm
+            if word:
+                value = regs[rt]
+                if addr < 0 or addr & 3:
+                    store_word(addr, value)  # raises the fault
+                words[addr] = value
+            else:
+                put(addr)
+            if record is not None:
+                record(addr)
+            return nxt
+        return store
+
+    def _branch(self, ins: Instruction, pc: int, nxt: int) -> Handler:
+        """Conditional branches, jumps, calls and returns."""
+        vm = self._vm
+        op = ins.op
+        rs = ins.rs
+        target = ins.imm
+        srcs = ins.reads
+        regs = vm.regs
+        emit = self._emit
+
+        if op is Opcode.J:
+            def jump() -> int:
+                if emit is not None:
+                    emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
+                                 False, 0, 0, pc))
+                return target
+            return jump
+
+        if op is Opcode.JAL or op is Opcode.JALR:
+            register = op is Opcode.JALR
+            enter = vm._enter_frame
+
+            def call() -> int:
+                dest = int(regs[rs]) if register else target
+                regs[_RA] = nxt
+                enter(nxt)
+                if emit is not None:
+                    emit(DynInst(_BRANCH, _RA, srcs, 0, 0, None, False,
+                                 False, 0, 0, pc))
+                return dest
+            return call
+
+        if op is Opcode.JR:
+            leave = vm._leave_frame
+
+            def jump_register() -> int:
+                dest = int(regs[rs])
+                leave(dest)
+                if emit is not None:
+                    emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
+                                 False, 0, 0, pc))
+                return dest
+            return jump_register
+
+        test = _BRANCH_TESTS[op]
+        if op.fmt is Fmt.BR2:
+            rt = ins.rt
+        else:
+            rt = 0
+            if rs >= FPR_BASE:
+                compare = test
+                test = lambda a, zero: compare(int(a), zero)  # noqa: E731
+
+        def branch() -> int:
+            taken = test(regs[rs], regs[rt])
+            if emit is not None:
+                emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
+                             False, 0, 0, pc))
+            return target if taken else nxt
+        return branch
+
+    def _syscall(self, ins: Instruction, pc: int, nxt: int) -> Handler:
+        vm = self._vm
+        call = ins.imm
+        regs = vm.regs
+        emit = self._emit
+        srcs = ins.reads
+
+        if call == Syscall.EXIT:
+            def exit_() -> int:
+                if emit is not None:
+                    emit(DynInst(_SYSCALL, NO_REG, srcs, 0, 0, None, False,
+                                 False, 0, 0, pc))
+                raise VmExit(int(regs[_A0]))
+            return exit_
+
+        out = vm.output.append
+        if call == Syscall.PRINT_INT:
+            def action() -> None:
+                out(str(int(regs[_A0])))
+        elif call == Syscall.PRINT_CHAR:
+            def action() -> None:
+                out(chr(int(regs[_A0]) & 0xFF))
+        elif call == Syscall.PRINT_FLOAT:
+            def action() -> None:
+                out(f"{float(regs[_F12]):.6g}")
+        elif call == Syscall.SBRK:
+            def action() -> None:
+                amount = int(regs[_A0])
+                if amount < 0:
+                    raise VmError("sbrk with negative amount")
+                regs[_V0] = _wrap32(vm.brk)
+                vm.brk += (amount + 3) & ~3
+        else:
+            def action() -> None:
+                raise VmError(f"unknown syscall {call}")
+
+        def syscall() -> int:
+            action()
+            if emit is not None:
+                emit(DynInst(_SYSCALL, _V0, srcs, 0, 0, None, False, False,
+                             0, 0, pc))
+            return nxt
+        return syscall
+
+    def _nop(self, pc: int, nxt: int) -> Handler:
+        emit = self._emit
+
+        def nop() -> int:
+            if emit is not None:
+                emit(DynInst(0, NO_REG, (), 0, 0, None, False, False, 0, 0,
+                             pc))
+            return nxt
+        return nop
 
 
 def run_program(

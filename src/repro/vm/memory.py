@@ -61,6 +61,10 @@ class SparseMemory:
         raw = (word & 0xFFFFFFFF) & ~mask | ((value & 0xFF) << shift)
         self._words[base] = to_signed32(raw)
 
+    def words(self) -> Dict[int, Word]:
+        """A copy of every word ever written, by address."""
+        return dict(self._words)
+
     def footprint_words(self) -> int:
         """Number of distinct words ever written."""
         return len(self._words)

@@ -122,3 +122,28 @@ def test_cli_emit_kernel(capsys):
     out = capsys.readouterr().out
     assert "# specialized kernel: (2+2)" in out
     assert "def _fused_run" in out
+
+
+def test_cold_kernel_for_composes_once(small_li_trace, monkeypatch):
+    """One composition serves the salt and every specialization under it;
+    clear_cache drops it with the kernels."""
+    calls = []
+    compose = specialize.compose_source
+
+    def counting_compose():
+        calls.append(1)
+        return compose()
+
+    monkeypatch.setattr(specialize, "compose_source", counting_compose)
+    config = golden_config("2+2:opt")
+    _run(config, small_li_trace)
+    assert len(calls) == 1
+    _run(golden_config("2+0"), small_li_trace)
+    assert len(calls) == 1
+    # The text rendered on request is the text a fresh specialization
+    # produces, and rendering it composes nothing.
+    assert specialize.cached_source(config) == specialize.emit_source(config)
+    assert len(calls) == 1
+    specialize.clear_cache()
+    _run(config, small_li_trace)
+    assert len(calls) == 2

@@ -52,12 +52,12 @@ def test_oracle_subset_runs_only_requested():
     assert run_oracles(source, oracles=("opt",)) == []
     assert run_oracles(source, oracles=("timing", "golden")) == []
     assert set(ALL_ORACLES) == {"opt", "timing", "golden", "analyze",
-                                "replay", "tv"}
+                                "replay", "tv", "vm"}
 
 
 def test_analyze_is_a_registered_oracle():
     assert ALL_ORACLES == ("opt", "timing", "golden", "analyze", "replay",
-                           "tv")
+                           "tv", "vm")
 
 
 def test_replay_oracle_clean_on_healthy_toolchain():
@@ -118,3 +118,23 @@ def test_analyze_oracle_catches_unsound_hint_emission(monkeypatch):
     details = " ".join(d.detail for d in divergences)
     assert "hint.unsound-local" in details
     assert "hint.dynamic-unsound" in details
+
+
+def test_vm_oracle_clean_on_healthy_toolchain():
+    source = generate_program(5).source()
+    assert run_oracles(source, oracles=("vm",)) == []
+
+
+def test_vm_oracle_catches_a_miswrapped_handler(monkeypatch):
+    # Sabotage the predecoded VM: an unsigned 32-bit wrap.  Generated
+    # programs compute with boundary literals, so some value leaves the
+    # signed range and the frozen seed VM disagrees.
+    import repro.vm.machine as machine
+
+    monkeypatch.setattr(machine, "_wrap32", lambda value: value & 0xFFFFFFFF)
+    divergences = []
+    for seed in range(4):
+        divergences += run_oracles(generate_program(seed).source(),
+                                   oracles=("vm",))
+    assert divergences
+    assert all(d.oracle == "vm" for d in divergences)
