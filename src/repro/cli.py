@@ -498,33 +498,37 @@ def _parse_bytes(text: str) -> int:
 def cmd_cache(args) -> int:
     import json as _json
 
-    from repro.runtime.store import ResultStore, default_cache_dir
     from repro.runtime.signature import code_salt
+    from repro.runtime.store import ResultStore, default_cache_dir, gc_stores
+    from repro.trace.capture import capture_salt
 
     root = args.cache_dir or default_cache_dir()
-    store = ResultStore(root, args.salt or code_salt())
+    # The result tree and the trace tree of this code version.
+    salts = [args.salt] if args.salt else [code_salt(), capture_salt()]
+    stores = [ResultStore(root, salt) for salt in salts]
 
     if args.verb == "stats":
-        stats = store.disk_stats()
-        print(f"store    : {stats['dir']}")
-        print(f"entries  : {stats['entries']} "
-              f"({_human_bytes(stats['bytes'])}, "
-              f"{stats['hits']} recorded hits)")
-        for kind, count in sorted(stats["kinds"].items()):
-            print(f"  kind {kind:8s}: {count}")
-        if args.verbose:
-            for shard, agg in sorted(stats["shards"].items()):
-                print(f"  shard {shard}: {agg['entries']} entries, "
-                      f"{_human_bytes(agg['bytes'])}, "
-                      f"{agg['hits']} hits")
+        for store in stores:
+            stats = store.disk_stats()
+            print(f"store    : {stats['dir']}")
+            print(f"entries  : {stats['entries']} "
+                  f"({_human_bytes(stats['bytes'])}, "
+                  f"{stats['hits']} recorded hits)")
+            for kind, count in sorted(stats["kinds"].items()):
+                print(f"  kind {kind:8s}: {count}")
+            if args.verbose:
+                for shard, agg in sorted(stats["shards"].items()):
+                    print(f"  shard {shard}: {agg['entries']} entries, "
+                          f"{_human_bytes(agg['bytes'])}, "
+                          f"{agg['hits']} hits")
         return 0
 
     if args.verb == "verify":
-        problems = store.verify()
-        checked = store.disk_stats()["entries"]
+        problems = [p for store in stores for p in store.verify()]
+        checked = sum(store.disk_stats()["entries"] for store in stores)
         if not problems:
             print(f"verified {checked} entries: all payloads hash, "
-                  f"unpickle, and type-check")
+                  f"decode, and type-check")
             return 0
         for problem in problems:
             print(f"repro-cc cache: {problem.shard}/{problem.key[:12]}: "
@@ -534,7 +538,7 @@ def cmd_cache(args) -> int:
 
     # verb == "gc"
     budget = _parse_bytes(args.budget)
-    report = store.gc(budget, dry_run=args.dry_run)
+    report = gc_stores(stores, budget, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
     print(f"{verb} {len(report['evicted'])} entries "
           f"({_human_bytes(report['freed_bytes'])}); "
@@ -838,7 +842,8 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     cache_p = sub.add_parser(
-        "cache", help="inspect, verify, and garbage-collect the result store")
+        "cache", help="inspect, verify, and garbage-collect the store of "
+                      "results and traces")
     cache_sub = cache_p.add_subparsers(dest="verb", required=True)
 
     def add_cache_common(p):
@@ -846,8 +851,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="store root (default: $REPRO_CACHE_DIR or "
                             "~/.cache/repro)")
         p.add_argument("--salt", metavar="SALT",
-                       help="code-salt tree to operate on "
-                            "(default: the current code salt)")
+                       help="code-salt tree to operate on (default: the "
+                            "current result tree and trace tree)")
 
     cstats_p = cache_sub.add_parser(
         "stats", help="shard sizes, entry counts, per-kind breakdown")
@@ -857,7 +862,7 @@ def make_parser() -> argparse.ArgumentParser:
     cstats_p.set_defaults(func=cmd_cache)
 
     cverify_p = cache_sub.add_parser(
-        "verify", help="integrity-check every payload (hash, unpickle, "
+        "verify", help="integrity-check every entry (hash, decode, "
                        "type); corrupt entries reported, not fatal")
     add_cache_common(cverify_p)
     cverify_p.set_defaults(func=cmd_cache)

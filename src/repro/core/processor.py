@@ -48,10 +48,12 @@ finish)``.  The kernel steps cycles, running each tick behind a guard
 that is provably a no-op check (an empty calendar slot cannot wake
 anyone, a non-COMPLETED ROB head cannot commit, …), so quiet stages
 cost one truth test per cycle.  Two compositions of the same stage
-sources exist: the default **fused** kernel splices the tick bodies
-into one generated function (:mod:`repro.core.stages.compose`), and
-the **portable** kernel (``REPRO_PORTABLE_KERNEL=1``) calls the bound
-closures per tick; tests pin them bit-identical.
+sources exist: the default **specialized** kernel splices the tick
+bodies into one generated function (:mod:`repro.core.stages.compose`)
+and folds the machine's configuration into it
+(:mod:`repro.core.stages.specialize`), and the **portable** kernel
+(``REPRO_PORTABLE_KERNEL=1``) calls the bound closures per tick; tests
+pin them bit-identical.
 The performance tricks the components inherit from the fused-loop
 ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes,
 the ROB free list, simple port arbiters and ALU pools as local integer
@@ -82,6 +84,7 @@ from repro.core.stages import writeback as writeback_stage
 from repro.core.stages.state import CoreState, MASK, RING
 from repro.mem.system import MemorySystem
 from repro.pipeline.fu import FuPool
+from repro.pipeline.memqueue import INF_SEQ
 from repro.pipeline.rob import Rob, RobEntry
 from repro.stats.counters import CounterSet
 from repro.vm.trace import DynInst
@@ -131,48 +134,33 @@ class Processor:
         """Simulate the dynamic stream to completion and return the result.
 
         Binds the five stage components to a fresh :class:`CoreState`
-        and steps cycles to completion through one of three
-        composition modes of the *same* stage sources:
+        and steps cycles to completion through one of two composition
+        modes of the *same* stage sources:
 
-        - the **specialized** kernel (default): the fused source with
-          this config's scalars constant-folded in and dead policy
-          arms deleted, compiled once per machine description
-          (:mod:`repro.core.stages.specialize`);
-        - the **generic fused** kernel (``REPRO_GENERIC_KERNEL=1``, or
-          the fallback when specialization finds nothing to fold): the
-          stage tick bodies spliced into a single generated function,
-          compiled once per process (:mod:`repro.core.stages.compose`)
-          — one frame, no per-tick call overhead;
+        - the **specialized** kernel (default): the stage tick bodies
+          spliced into one generated function
+          (:mod:`repro.core.stages.compose`) with this config's
+          scalars constant-folded in and dead policy arms deleted,
+          compiled once per machine description and kept warm for the
+          life of the process (:mod:`repro.core.stages.specialize`) —
+          one frame, no per-tick call overhead;
         - the **portable** kernel (``REPRO_PORTABLE_KERNEL=1``): plain
           closure calls per tick, the shape the stage interface
-          contract is written against, kept as the debuggable
-          cross-check (``tests/core/test_kernel_compose.py`` and
-          ``tests/core/test_kernel_specialize.py`` pin all three
+          contract is written against, kept as the readable
+          reference (``tests/core/test_kernel_compose.py`` and
+          ``tests/core/test_kernel_specialize.py`` pin the two
           bit-identical).
         """
         total = len(insts)
         limit = total * 80 + 1000
         state = CoreState(self, insts)
-        env_get = os.environ.get
-        if env_get("REPRO_PORTABLE_KERNEL", "") not in ("", "0"):
+        if os.environ.get("REPRO_PORTABLE_KERNEL", "") not in ("", "0"):
             (now, committed_total, index, shares, exceeded,
              n_skip_rob_full) = self._portable_kernel(state, insts)
         else:
-            kernel = None
-            if env_get("REPRO_GENERIC_KERNEL", "") in ("", "0"):
-                # Default: the per-config specialized kernel (config
-                # scalars constant-folded, dead policy arms deleted),
-                # compiled once per machine description and kept warm
-                # for the life of the process.  Falls back to the
-                # generic composed kernel when specialization finds
-                # nothing to fold.
-                from repro.core.stages.specialize import kernel_for
-                kernel = kernel_for(self, state)
-            if kernel is None:
-                from repro.core.stages.compose import fused_kernel
-                kernel = fused_kernel()
+            from repro.core.stages.specialize import kernel_for
             (now, committed_total, index, shares, exceeded,
-             n_skip_rob_full) = kernel(self, state)
+             n_skip_rob_full) = kernel_for(self, state)(self, state)
         if exceeded:
             raise SimulationError(
                 self._livelock_report(limit, total, index))
@@ -394,18 +382,26 @@ class Processor:
         pending_events = sum(
             len(b) for b in self._ring if b
         ) + sum(len(b) for b in self._overflow.values())
-        lsq, lvaq = self.lsq, self.lvaq
+        queues = "; ".join(
+            f"{queue.name} {len(queue.entries)}/{queue.size} "
+            f"(unserviced_loads={queue.unserviced_loads}, "
+            f"oldest_unknown_store_seq="
+            f"{_oldest_unknown_store_seq(queue)})"
+            for queue in (self.lsq, self.lvaq))
         return (
             f"cycle limit exceeded ({limit}) at "
             f"{self._committed}/{total} committed; "
             f"dispatch index {index}; "
             f"rob {len(rob_entries)}/{self._rob_size} head={head!r}; "
-            f"lsq {len(lsq.entries)}/{lsq.size} "
-            f"(unserviced_loads={lsq.unserviced_loads}, "
-            f"oldest_unknown_store_seq={lsq.oldest_unknown_store_seq()}); "
-            f"lvaq {len(lvaq.entries)}/{lvaq.size} "
-            f"(unserviced_loads={lvaq.unserviced_loads}, "
-            f"oldest_unknown_store_seq={lvaq.oldest_unknown_store_seq()}); "
+            f"{queues}; "
             f"issuable={len(self._ready_fifo) + len(self._issuable)}; "
             f"scheduled_events={pending_events}"
         )
+
+
+def _oldest_unknown_store_seq(queue) -> int:
+    """Sequence number of *queue*'s oldest unknown-address store."""
+    for entry in queue.entries:
+        if entry.is_store and not entry.addr_known:
+            return entry.rob.seq
+    return INF_SEQ

@@ -16,10 +16,13 @@ extracts each stage's prologue and tick body *from the stage source*
 (``ast`` + source-line slicing, so the modules stay ordinary readable
 Python) and splices them into one generated run function — every stage
 guard and body inline in a single frame, exactly the shape of the
-fused ancestor — compiled once per process and shared by every
-``Processor.run``.  The golden equivalence suite pins the fused kernel
-to the seed reference bit-identically, and
-``tests/core/test_kernel_compose.py`` pins it to the portable kernel
+fused ancestor.  :mod:`repro.core.stages.specialize` folds each
+machine's configuration into that source and compiles the result once
+per machine description: the specialized kernel every default
+``Processor.run`` executes.  The golden equivalence suite pins it to
+the seed reference bit-identically, and
+``tests/core/test_kernel_compose.py`` and
+``tests/core/test_kernel_specialize.py`` pin it to the portable kernel
 across policies, so the two composition modes cannot drift apart.
 
 Splicing rules the stage modules must follow (enforced here, loudly):
@@ -40,7 +43,6 @@ Splicing rules the stage modules must follow (enforced here, loudly):
 from __future__ import annotations
 
 import ast
-import gc as _gc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stages import commit as commit_stage
@@ -360,30 +362,3 @@ def compose_source() -> str:
         finishes="\n".join(finish_parts),
         fin_names=", ".join(fin_names),
     )
-
-
-_KERNEL = None
-_SOURCE: Optional[str] = None
-
-
-def fused_kernel():
-    """The composed run function, compiled once per process."""
-    global _KERNEL, _SOURCE
-    if _KERNEL is None:
-        _SOURCE = compose_source()
-        # The exec globals are the union of the stage modules' globals,
-        # so every module-level name a spliced body uses (heappush,
-        # MASK, LATENCY_BY_INT, GATE_IMISS, RobEntry, ...) resolves to
-        # the very same objects the portable ticks close over — in-place
-        # patches (e.g. the golden harness's latency perturbation) stay
-        # visible to both kernels.
-        g: Dict[str, object] = {}
-        for module, _key, _pos in _STAGES:
-            g.update(vars(module))
-        from repro.core.stages.state import RING
-        g["RING"] = RING
-        g["gc"] = _gc
-        code = compile(_SOURCE, "<repro.core.stages.compose>", "exec")
-        exec(code, g)
-        _KERNEL = g["_fused_run"]
-    return _KERNEL

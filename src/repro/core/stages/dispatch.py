@@ -268,8 +268,8 @@ def bind(state: CoreState):
                     qe.penalty = (mispredict_penalty
                                   if mispredicted else 0)
                     entry.mem = qe
-                    # Inline MemQueue.append (fullness was already checked
-                    # by the stall tests above).
+                    # Append to the queue and its indexes (fullness was
+                    # already checked by the stall tests above).
                     if to_lvaq:
                         qe.pos = lvaq_base + len(lvaq_entries)
                         lvaq_entries.append(qe)

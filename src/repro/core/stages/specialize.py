@@ -20,7 +20,8 @@ bookkeeping).  The result is compiled once per machine description and
 cached for the life of the process, so `repro.runtime` workers keep
 specialized kernels warm across jobs.
 
-Safety rules (violating code falls back to the generic kernel):
+Safety rules (a config that cannot be folded under them raises
+:class:`SpecializeError`; there is no unfolded fallback):
 
 - only names in :data:`CONST_NAMES` are folded, and only when the name
   is stored exactly once in the whole kernel and its value is a plain
@@ -47,9 +48,9 @@ directly, and source text is rendered only on request
 --emit-kernel <config>`` dumps it for inspection.  :func:`clear_cache`
 drops the kernels, the salt and the composition.
 
-Bit-identity is enforced the same way as for the generic kernel:
-``tests/core/test_kernel_specialize.py`` pins specialized == portable
-across the golden workload×config matrix, and the golden harness pins
+Bit-identity is enforced twice: ``tests/core/test_kernel_specialize.py``
+pins specialized == portable across the golden workload×config matrix
+and the full port × frontend × LVAQ cross, and the golden harness pins
 both to the frozen seed reference.
 """
 
@@ -253,7 +254,13 @@ class _Folder(ast.NodeTransformer):
 
 
 def _stage_globals() -> Dict[str, Any]:
-    """The same exec-globals union the generic fused kernel uses."""
+    """The kernel's exec globals: the union of the stage modules' globals.
+
+    Every module-level name a spliced body uses (heappush, MASK,
+    LATENCY_BY_INT, GATE_IMISS, RobEntry, ...) resolves to the very same
+    objects the portable ticks close over, so in-place patches (e.g. the
+    golden harness's latency perturbation) stay visible to both kernels.
+    """
     g: Dict[str, Any] = {}
     for module, _key, _pos in _STAGES:
         g.update(vars(module))
@@ -317,10 +324,9 @@ def specialize_source(processor, state) -> str:
 
 # ---------------------------------------------------------------- cache
 
-#: machine-description key -> (kernel, folded names, notation), or
-#: (None, None, notation) for the generic fallback.  The source text is
-#: rendered only on request (:func:`cached_source`).
-_CACHE: Dict[str, Tuple[Optional[Any], Optional[Dict[str, Any]], str]] = {}
+#: machine-description key -> (kernel, folded names, notation).  The
+#: source text is rendered only on request (:func:`cached_source`).
+_CACHE: Dict[str, Tuple[Any, Dict[str, Any], str]] = {}
 #: Compilation counter, exposed for the cache tests.
 compile_count = 0
 
@@ -367,28 +373,24 @@ def clear_cache() -> None:
 
 
 def kernel_for(processor, state):
-    """The specialized kernel for ``processor.config``, or ``None``.
+    """The specialized kernel for ``processor.config``.
 
     Compiles at most once per ``(code salt, machine description)`` for
-    the life of the process; a config whose source cannot be soundly
-    specialized caches a ``None`` fallback so the generic kernel is
-    used without retrying the analysis every run.
+    the life of the process.  A config whose source cannot be soundly
+    specialized raises :class:`SpecializeError`.
     """
     global compile_count
     key = cache_key(processor.config)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit[0]
-    try:
-        folded, const_map = _specialize(processor, state)
-        # The folded tree compiles directly; no text round trip.
-        code = compile(folded, "<repro.core.stages.specialize>", "exec")
-        g = _stage_globals()
-        exec(code, g)
-        kernel = g["_fused_run"]
-        compile_count += 1
-    except SpecializeError:
-        kernel = const_map = None
+    folded, const_map = _specialize(processor, state)
+    # The folded tree compiles directly; no text round trip.
+    code = compile(folded, "<repro.core.stages.specialize>", "exec")
+    g = _stage_globals()
+    exec(code, g)
+    kernel = g["_fused_run"]
+    compile_count += 1
     _CACHE[key] = (kernel, const_map, processor.config.notation())
     return kernel
 
@@ -400,7 +402,7 @@ def cached_source(config) -> Optional[str]:
     exact tree the kernel was compiled from.
     """
     hit = _CACHE.get(cache_key(config))
-    if hit is None or hit[1] is None:
+    if hit is None:
         return None
     _kernel, const_map, notation = hit
     folded = _fold(ast.parse(_composition()), const_map)

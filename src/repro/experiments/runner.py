@@ -42,8 +42,8 @@ from repro.experiments import (
     table3_forwarding,
 )
 from repro.runtime import plans
-from repro.runtime.cache import default_cache_dir
 from repro.runtime.manifest import ProgressPrinter, RunManifest
+from repro.runtime.store import default_cache_dir
 from repro.stats.report import format_duration
 
 EXPERIMENTS: Dict[str, Callable[[], None]] = {

@@ -16,32 +16,20 @@ dispatch, before effective-address computation, so a store→load pair can be
 matched (and non-matching sp-relative stores disambiguated) without waiting
 for address generation.
 
-Indexing
---------
-
-The queue keeps incremental indexes so the processor's per-cycle memory
-stage does not rescan every resident entry:
-
-* ``pending_loads()`` — age-ordered loads with a compaction cursor, so the
-  memory stage only walks loads (and skips the serviced prefix in O(1));
-* ``oldest_unknown_store_seq`` / ``oldest_unknown_nonsp_store_seq`` —
-  maintained with lazy cursors over append-ordered store lists instead of
-  rescanning the queue (a store's address never becomes unknown again, so
-  a cursor can only ever move forward);
-* ``_stores_by_word`` — known-address stores bucketed by word, fed by
-  ``note_store_addr`` and consumed by ``forward_source_fast``;
-* ``_sp_stores`` / ``_nonsp_stores`` — the two store populations fast
-  forwarding compares, consumed by ``fast_forward_source_fast``;
-* ``_addr_ready`` — loads bucketed by the cycle their address becomes
-  known, fed by the issue stage's address generation and drained by the
-  memory stage's event-driven eligibility walk.
-
-The ``*_fast`` lookups give the same answers as the original scanning
-methods **provided** the processor discipline is followed: entries enter
-via :meth:`append`, leave via :meth:`retire_committed`, and every site
-that fills a store's address calls :meth:`note_store_addr`.  The original
-O(n) methods are kept as the reference semantics (and for tests that
-build entries by hand without that discipline).
+A queue is state only: the kernel stages (:mod:`repro.core.stages`) bind
+its fields and maintain them inline — dispatch appends, issue fills
+addresses, the memory stage disambiguates and forwards, commit retires
+the head.  The fields are incremental indexes, so the per-cycle memory
+stage never rescans every resident entry: the age-ordered load list with
+a serviced-prefix cursor, lazy cursors over the unknown-address store
+lists (an address, once known, never becomes unknown again), the
+known-address stores bucketed by word, the sp-relative stores by
+(frame, offset) key, the non-sp stores in age order, and the loads
+bucketed by the cycle their address becomes known.  The scan-based
+semantics those indexes implement live, frozen, in
+``repro.perf.reference._RefMemQueue``; the golden equivalence suite and
+the micro-streams in ``tests/core/test_processor.py`` pin the kernel to
+them.
 """
 
 from __future__ import annotations
@@ -49,13 +37,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.pipeline.rob import COMMITTED, RobEntry
+from repro.pipeline.rob import RobEntry
 
 #: Sentinel "no unknown store" sequence number.
 INF_SEQ = 1 << 62
-
-#: Cursor depth at which the lazily-advanced index lists are compacted.
-_COMPACT_AT = 64
 
 
 class MemQueueEntry:
@@ -82,7 +67,7 @@ class MemQueueEntry:
         self.frame_key = frame_key
         self.use_lvc = use_lvc
         self.penalty = penalty  # extra cycles (classification mispredict)
-        self.pos = -1  # queue-lifetime position, assigned by MemQueue.append
+        self.pos = -1  # queue-lifetime position, assigned at dispatch
 
     @property
     def addr_known(self) -> bool:
@@ -108,8 +93,7 @@ class MemQueue:
         self.entries: List[MemQueueEntry] = []
         #: ``pos`` of ``entries[0]`` — ``entries[e.pos - base] is e``.
         self.base = 0
-        #: Loads the memory stage still has to service; the processor
-        #: decrements this whenever it sets ``serviced`` on a load.
+        #: Loads the memory stage still has to service.
         self.unserviced_loads = 0
         self._loads: List[MemQueueEntry] = []
         self._load_head = 0
@@ -123,259 +107,8 @@ class MemQueue:
         self._sp_stores: Dict[Tuple[int, int], List[MemQueueEntry]] = {}
         #: Loads becoming address-ready, bucketed by that cycle: filled
         #: by the issue stage's address generation, drained by the
-        #: memory stage's eligibility walk (event-driven alternative to
-        #: rescanning ``_loads`` every cycle).
+        #: memory stage's eligibility walk.
         self._addr_ready: Dict[int, List[MemQueueEntry]] = {}
-
-    @property
-    def full(self) -> bool:
-        """True when dispatch must stall for this queue."""
-        return len(self.entries) >= self.size
-
-    def append(self, entry: MemQueueEntry) -> None:
-        """Insert a newly dispatched memory op at the tail."""
-        entries = self.entries
-        if len(entries) >= self.size:
-            raise SimulationError(f"dispatch into a full {self.name}")
-        entry.pos = self.base + len(entries)
-        entries.append(entry)
-        if entry.is_store:
-            self._unknown_stores.append(entry)
-            if entry.sp_based and entry.frame_key is not None:
-                self._sp_stores.setdefault(entry.frame_key, []).append(entry)
-            if not entry.sp_based:
-                self._unknown_nonsp_stores.append(entry)
-                self._nonsp_stores.append(entry)
-        else:
-            self._loads.append(entry)
-            self.unserviced_loads += 1
-
-    def note_store_addr(self, entry: MemQueueEntry) -> None:
-        """Index a store whose effective address was just filled in.
-
-        Must be called (once) by every site that sets a resident store's
-        ``word``; ``forward_source_fast`` relies on the bucket being
-        complete.
-        """
-        if entry.word >= 0:
-            self._stores_by_word.setdefault(entry.word, []).append(entry)
-
-    def retire_committed(self) -> None:
-        """Drop committed ops from the head (they left the window)."""
-        entries = self.entries
-        n = len(entries)
-        drop = 0
-        while drop < n and entries[drop].rob.state == COMMITTED:
-            drop += 1
-        if not drop:
-            return
-        by_word = self._stores_by_word
-        sp_stores = self._sp_stores
-        for i in range(drop):
-            qe = entries[i]
-            if not qe.is_store:
-                continue
-            word = qe.word
-            if word >= 0:
-                bucket = by_word.get(word)
-                if bucket is not None:
-                    try:
-                        bucket.remove(qe)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del by_word[word]
-            if qe.sp_based and qe.frame_key is not None:
-                bucket = sp_stores.get(qe.frame_key)
-                if bucket is not None:
-                    if bucket and bucket[0] is qe:
-                        del bucket[0]
-                    else:
-                        try:
-                            bucket.remove(qe)
-                        except ValueError:
-                            pass
-                    if not bucket:
-                        del sp_stores[qe.frame_key]
-        del entries[:drop]
-        self.base += drop
-        base = self.base
-        ns = self._nonsp_stores
-        h = self._ns_head
-        m = len(ns)
-        while h < m and ns[h].pos < base:
-            h += 1
-        if h >= _COMPACT_AT:
-            del ns[:h]
-            h = 0
-        self._ns_head = h
-
-    # -- disambiguation --------------------------------------------------------
-
-    def oldest_unknown_store_seq(self) -> int:
-        """Sequence number of the oldest store with an unknown address.
-
-        Incremental: a store's address, once known, never becomes unknown
-        again (and a store cannot retire with an unknown address), so a
-        cursor over the append-ordered store list only ever advances.
-        """
-        lst = self._unknown_stores
-        h = self._us_head
-        n = len(lst)
-        while h < n and lst[h].addr_known_time >= 0:
-            h += 1
-        if h >= _COMPACT_AT:
-            del lst[:h]
-            n -= h
-            h = 0
-        self._us_head = h
-        return lst[h].rob.seq if h < n else INF_SEQ
-
-    def oldest_unknown_nonsp_store_seq(self) -> int:
-        """Oldest unknown-address store that is *not* sp-relative.
-
-        Fast data forwarding can disambiguate sp-relative stores by their
-        static offsets, so only non-sp stores block the fast path.
-        """
-        lst = self._unknown_nonsp_stores
-        h = self._un_head
-        n = len(lst)
-        while h < n and lst[h].addr_known_time >= 0:
-            h += 1
-        if h >= _COMPACT_AT:
-            del lst[:h]
-            n -= h
-            h = 0
-        self._un_head = h
-        return lst[h].rob.seq if h < n else INF_SEQ
-
-    # -- forwarding ------------------------------------------------------------
-
-    def forward_source(self, load: MemQueueEntry) -> Optional[MemQueueEntry]:
-        """Youngest earlier store writing the load's word, if any.
-
-        Assumes every earlier store has a known address (the caller enforces
-        the disambiguation rule first).
-        """
-        entries = self.entries
-        idx = entries.index(load)
-        for i in range(idx - 1, -1, -1):
-            entry = entries[i]
-            if entry.is_store and entry.word == load.word:
-                return entry
-        return None
-
-    def forward_source_fast(self, load: MemQueueEntry) -> Optional[MemQueueEntry]:
-        """Indexed :meth:`forward_source`: same answer via the word buckets.
-
-        Valid when every resident known-address store was registered with
-        :meth:`note_store_addr` (the processor's discipline).
-        """
-        bucket = self._stores_by_word.get(load.word)
-        if not bucket:
-            return None
-        lpos = load.pos
-        best = None
-        best_pos = -1
-        for entry in bucket:
-            p = entry.pos
-            if best_pos < p < lpos:
-                best = entry
-                best_pos = p
-        return best
-
-    def fast_forward_source(
-        self, load: MemQueueEntry
-    ) -> Tuple[Optional[MemQueueEntry], bool]:
-        """Offset-matched forwarding source for an sp-relative load.
-
-        Returns ``(store, conclusive)``.  ``conclusive`` is True when the
-        offset-based check fully disambiguated the load against every
-        earlier sp-relative store — i.e. either a match was found, or no
-        earlier sp-relative store shares its (frame, offset) key.  The
-        caller must still check non-sp stores separately.
-        """
-        if not load.sp_based or load.frame_key is None:
-            return None, False
-        entries = self.entries
-        idx = entries.index(load)
-        for i in range(idx - 1, -1, -1):
-            entry = entries[i]
-            if not entry.is_store:
-                continue
-            if entry.sp_based and entry.frame_key == load.frame_key:
-                return entry, True
-            if not entry.sp_based and not entry.addr_known:
-                # An unknown non-sp store may alias: not conclusive.
-                return None, False
-            if not entry.sp_based and entry.addr_known \
-                    and entry.word == load.word:
-                # A known-address aliasing store: use the normal path.
-                return None, False
-        return None, True
-
-    def fast_forward_source_fast(
-        self, load: MemQueueEntry
-    ) -> Tuple[Optional[MemQueueEntry], bool]:
-        """Indexed :meth:`fast_forward_source`.
-
-        The scan's outcome is decided by whichever comes first walking
-        backwards from the load: the youngest same-key sp-relative store,
-        or the youngest *blocking* non-sp store (unknown address, or known
-        and aliasing).  Compare the two candidates' positions directly
-        instead of walking every entry in between.
-        """
-        frame_key = load.frame_key
-        if not load.sp_based or frame_key is None:
-            return None, False
-        lpos = load.pos
-        source = None
-        source_pos = -1
-        bucket = self._sp_stores.get(frame_key)
-        if bucket:
-            for i in range(len(bucket) - 1, -1, -1):
-                entry = bucket[i]
-                if entry.pos < lpos:
-                    source = entry
-                    source_pos = entry.pos
-                    break
-        ns = self._nonsp_stores
-        lword = load.word
-        for i in range(len(ns) - 1, self._ns_head - 1, -1):
-            entry = ns[i]
-            p = entry.pos
-            if p >= lpos:
-                continue
-            if p < source_pos:
-                break  # every remaining store is older than the sp match
-            if entry.addr_known_time < 0 or entry.word == lword:
-                return None, False
-        if source is not None:
-            return source, True
-        return None, True
-
-    def pending_loads(self) -> Tuple[List[MemQueueEntry], int]:
-        """Age-ordered loads and the index of the first possibly-unserviced
-        one.
-
-        The returned list may contain serviced loads past the cursor (they
-        are flagged, the caller skips them); the serviced prefix is
-        compacted away once it grows past a threshold.
-        """
-        loads = self._loads
-        head = self._load_head
-        n = len(loads)
-        while head < n and loads[head].serviced:
-            head += 1
-        if head >= _COMPACT_AT:
-            del loads[:head]
-            head = 0
-        self._load_head = head
-        return loads, head
-
-    def occupancy(self) -> int:
-        """Number of resident entries."""
-        return len(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -34,7 +34,6 @@ changes *when* a result is computed, never *what* it is.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -243,8 +242,7 @@ class JobEngine:
         if batch < 1:
             raise ValueError("batch size must be >= 1")
         self.jobs = jobs
-        # Anything with lookup(job)/store(job, result)/flush() — the
-        # sharded ResultStore or the legacy flat ResultCache.
+        # The ResultStore (anything with lookup/store/flush), or None.
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
@@ -612,7 +610,7 @@ class RuntimeSession:
                  no_cache: bool = False, timeout: Optional[float] = None,
                  retries: int = 1, progress: Optional[ProgressFn] = None,
                  batch: int = 1, keep_pool: bool = False):
-        from repro.runtime.store import ResultStore
+        from repro.runtime.store import runtime_store
 
         self.jobs = max(1, jobs)
         self.timeout = timeout
@@ -620,15 +618,8 @@ class RuntimeSession:
         self.progress = progress
         self.batch = max(1, batch)
         self.salt = code_salt()
-        if no_cache:
-            self.cache = None
-        elif cache_dir:
-            self.cache = ResultStore(cache_dir, self.salt)
-        elif os.environ.get("REPRO_CACHE_DIR"):
-            self.cache = ResultStore(os.environ["REPRO_CACHE_DIR"],
-                                     self.salt)
-        else:
-            self.cache = None
+        self.cache = None if no_cache else runtime_store(cache_dir,
+                                                         self.salt)
         # With keep_pool the session pins one warm pool for its whole
         # life; engines borrow it instead of building their own.
         self.pool = (WorkerPool(self.jobs)

@@ -15,13 +15,13 @@ times, and the file is safe to commit or compare across runs.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from typing import Any, Dict, Optional
 
 from repro.runtime.engine import EngineReport, JobOutcome
 from repro.stats.report import format_duration
+from repro.utils import write_atomic
 
 MANIFEST_VERSION = 2
 
@@ -75,14 +75,8 @@ class RunManifest:
 
     def write(self, path: str) -> None:
         """Write the manifest atomically."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_atomic(path, (json.dumps(self.to_dict(), indent=2,
+                                       sort_keys=True) + "\n").encode("utf-8"))
 
     def summary(self) -> str:
         """One stderr-friendly line for the end of a run."""

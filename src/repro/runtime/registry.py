@@ -17,7 +17,13 @@ family of jobs in one registration:
 * ``encode_result`` — optional result -> JSON-able dict (the service's
   ``/result`` endpoint);
 * ``cacheable``   — whether the engine should route results through the
-  result store (trace captures own their store and opt out).
+  result store (trace captures write their own store entry and opt out);
+* ``files``       — the file suffixes of one store entry of this kind:
+  ``(".pkl",)``, a pickled result, unless the kind writes its own files
+  (a trace capture: the trace and its sidecar);
+* ``check_files`` — for such kinds, ``check(base) -> sha256``: re-reads
+  the entry's files at ``base + suffix`` and returns its payload hash,
+  raising on any defect (``repro-cc cache verify``).
 
 Job specs advertise their kind with a ``kind`` class attribute; the
 common spec surface (``key``, ``describe()``, ``label()``, and the
@@ -31,7 +37,7 @@ the parent having to pre-import anything.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: Modules whose import registers the builtin job kinds.  This is a
 #: plugin-loading list, not a dispatch table: execution always goes
@@ -47,13 +53,16 @@ class JobKind:
     """Everything the runtime needs to know about one job family."""
 
     __slots__ = ("name", "spec_type", "result_type", "execute",
-                 "decode_spec", "encode_result", "cacheable")
+                 "decode_spec", "encode_result", "cacheable", "files",
+                 "check_files")
 
     def __init__(self, name: str, spec_type: type, result_type: type,
                  execute: Callable[[Any], Any],
                  decode_spec: Optional[Callable[[Dict[str, Any]], Any]] = None,
                  encode_result: Optional[Callable[[Any], Dict[str, Any]]] = None,
-                 cacheable: bool = True):
+                 cacheable: bool = True,
+                 files: Tuple[str, ...] = (".pkl",),
+                 check_files: Optional[Callable[[str], str]] = None):
         self.name = name
         self.spec_type = spec_type
         self.result_type = result_type
@@ -61,6 +70,8 @@ class JobKind:
         self.decode_spec = decode_spec
         self.encode_result = encode_result
         self.cacheable = cacheable
+        self.files = files
+        self.check_files = check_files
 
     def __repr__(self) -> str:
         return (f"JobKind({self.name!r}, {self.spec_type.__name__} -> "

@@ -4,18 +4,21 @@ A :class:`TraceJob` names everything that determines a committed dynamic
 stream — the workload (or inline source), its scale/seed, and the
 compile-relevant options — exactly the frontend half of a
 :class:`repro.runtime.job.SimJob` (the machine configuration is absent:
-the committed stream does not depend on it).  Captured traces live in
-the same content-addressed store layout as simulation results::
+the committed stream does not depend on it).  A captured trace is one
+``trace`` entry of the sharded :class:`~repro.runtime.store.ResultStore`::
 
-    <cache_dir>/v1/<capture_salt>/<key[:2]>/<key>.trace   (+ .json meta)
+    <cache_dir>/v2/<capture_salt>/<key[:2]>/<key>.trace   (+ <key>.pdt)
 
-under their **own code-salt entry**: :func:`capture_salt` hashes only
-the sources that can change a committed stream (lang/vm/isa/asm/
-workloads — see ``TRACE_SALT_SOURCES``) plus the trace-format version,
-so editing the timing kernel keeps captured traces valid while editing
-the compiler or VM — or bumping the format — invalidates them all.
+under its **own code salt**: :func:`capture_salt` hashes only the
+sources that can change a committed stream (lang/vm/isa/asm/workloads —
+see ``TRACE_SALT_SOURCES``) plus the trace-format version, so editing
+the timing kernel keeps captured traces valid while editing the
+compiler or VM — or bumping the format — invalidates them all.  The
+shard index records the entry like any other (size, payload hash,
+atime, hits, the job's ``describe()``), so ``repro-cc cache
+stats|verify|gc`` cover traces too.
 
-Next to each ``.trace`` the store keeps a derived ``.pdt`` sidecar
+Next to each ``.trace`` the entry keeps a derived ``.pdt`` sidecar
 (:mod:`repro.trace.predecode`): the pre-decoded struct-of-arrays tables
 the replay fast path indexes instead of re-parsing the trace.  Sidecars
 are content-addressed to the trace's payload hash and re-derived on
@@ -29,7 +32,6 @@ import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import TraceError
-from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.registry import JobKind, register_kind
 from repro.runtime.signature import (
     TRACE_SALT_SOURCES,
@@ -37,7 +39,14 @@ from repro.runtime.signature import (
     digest,
     source_salt,
 )
-from repro.trace.format import TRACE_FORMAT_VERSION, write_trace
+from repro.runtime.store import ResultStore, default_cache_dir
+from repro.trace import predecode
+from repro.trace.format import (
+    TRACE_FORMAT_VERSION,
+    encode_trace,
+    read_trace_header,
+)
+from repro.utils import write_atomic
 from repro.vm.trace import Trace
 
 _CAPTURE_SALT: Dict[str, str] = {}
@@ -139,46 +148,51 @@ class TraceJob:
 
 
 class TraceStore:
-    """Content-addressed trace files in the ResultCache directory tree.
+    """Captured traces as ``trace`` entries of a :class:`ResultStore`.
 
-    Reuses the cache's ``v1/<salt>/<key[:2]>`` fan-out and atomic-write
-    discipline, but stores the raw trace format (``.trace``) instead of
-    pickles — traces are their own serialization, checksummed and
-    versioned by :mod:`repro.trace.format`.
+    An entry holds the trace (``.trace``, the raw format: checksummed and
+    versioned by :mod:`repro.trace.format`) and its derived sidecar
+    (``.pdt``) under one key.  The result store owns the layout, the
+    index and the LRU; this class does the trace-specific work:
+    serializing a capture and deriving its sidecar.
     """
 
-    SUFFIX = ".trace"
-    PREDECODE_SUFFIX = ".pdt"
+    FILES = (".trace", ".pdt")
 
     def __init__(self, root: Optional[str] = None,
                  salt: Optional[str] = None):
-        self.root = root if root else default_cache_dir()
-        self.salt = salt if salt else capture_salt()
-        self.dir = os.path.join(self.root, "v1", self.salt)
+        self.store = ResultStore(root if root else default_cache_dir(),
+                                 salt if salt else capture_salt())
 
     def path(self, key: str) -> str:
         """Where the trace for *key* lives (whether or not it exists)."""
-        return os.path.join(self.dir, key[:2], key + self.SUFFIX)
+        return self.store.path(key, ".trace")
 
     def predecoded_path(self, key: str) -> str:
         """Where the pre-decoded sidecar for *key* lives."""
-        return os.path.join(self.dir, key[:2],
-                            key + self.PREDECODE_SUFFIX)
+        return self.store.path(key, ".pdt")
 
-    def lookup(self, key: str) -> Optional[str]:
-        """The stored trace path for *key*, or None."""
-        path = self.path(key)
-        return path if os.path.exists(path) else None
+    def lookup(self, job: TraceJob) -> Optional[str]:
+        """The stored trace path for *job*, or None.
 
-    def put(self, key: str, trace: Trace,
-            meta: Optional[Dict[str, Any]] = None) -> str:
-        """Serialize *trace* under *key*; returns the stored path."""
-        path = self.path(key)
-        write_trace(trace, path, meta=meta)
-        if meta is not None:
-            ResultCache._write_atomic(
-                os.path.join(os.path.dirname(path), key + ".json"),
-                (canonical_json(meta) + "\n").encode("utf-8"))
+        A stored trace that fails a check — unreadable, bad header, or a
+        payload checksum mismatch when its sidecar has to be derived —
+        counts as a miss and is dropped.
+        """
+        if self.store.lookup_files(
+                job, lambda: self.ensure_predecoded(job.key)):
+            return self.path(job.key)
+        return None
+
+    def put(self, job: TraceJob, trace: Trace) -> str:
+        """Serialize *trace* and its sidecar as *job*'s entry; returns
+        the trace path."""
+        data = encode_trace(trace, meta=job.describe())
+        path = write_atomic(self.path(job.key), data)
+        # Fresh bytes: their checksum was just computed, not re-checked.
+        pdt = predecode.predecode_trace(data, origin=path, verify=False)
+        predecode.write_predecoded(pdt, self.predecoded_path(job.key))
+        self.store.add(job, pdt.source_sha256)
         return path
 
     def ensure_predecoded(self, key: str) -> Optional[str]:
@@ -187,31 +201,46 @@ class TraceStore:
         Returns the sidecar path, or None when no trace is stored.  An
         existing sidecar is trusted only if its ``source_sha256``
         matches the stored trace's payload hash — a re-captured trace
-        invalidates its stale sidecar automatically.
+        invalidates its stale sidecar automatically.  A defective trace
+        raises :class:`TraceError`.
         """
-        from repro.trace.format import read_trace_header
-        from repro.trace import predecode as _pd
-
-        trace_path = self.lookup(key)
-        if trace_path is None:
+        trace_path = self.path(key)
+        if not os.path.exists(trace_path):
             return None
         source_sha = read_trace_header(trace_path).get("payload_sha256")
         sidecar = self.predecoded_path(key)
-        if os.path.exists(sidecar):
-            try:
-                existing = _pd.read_predecoded(sidecar, verify=False)
-                if existing.source_sha256 == source_sha:
-                    return sidecar
-            except TraceError:
-                pass  # corrupt or stale — rewrite below
+        try:
+            existing = predecode.read_predecoded(sidecar, verify=False)
+            if existing.source_sha256 == source_sha:
+                return sidecar
+        except TraceError:
+            pass  # absent, corrupt or stale — rewrite below
         with open(trace_path, "rb") as handle:
             data = handle.read()
-        _pd.write_predecoded(
-            _pd.predecode_trace(data, origin=trace_path), sidecar)
+        predecode.write_predecoded(
+            predecode.predecode_trace(data, origin=trace_path), sidecar)
         return sidecar
 
     def __repr__(self) -> str:
-        return f"TraceStore({self.dir!r})"
+        return f"TraceStore({self.store.dir!r})"
+
+
+def check_trace_entry(base: str) -> str:
+    """The ``trace`` kind's ``check_files``: re-read a stored entry.
+
+    The trace must decode with a matching payload checksum and the
+    sidecar must decode and derive from it.  Returns the payload hash;
+    raises :class:`TraceError` on any defect.
+    """
+    trace_path = base + ".trace"
+    with open(trace_path, "rb") as handle:
+        source_sha = predecode.predecode_trace(
+            handle.read(), origin=trace_path).source_sha256
+    sidecar = predecode.read_predecoded(base + ".pdt")
+    if sidecar.source_sha256 != source_sha:
+        raise TraceError(f"{base}.pdt: sidecar derives from another "
+                         f"trace ({sidecar.source_sha256[:12]})")
+    return source_sha
 
 
 def build_capture(job: TraceJob) -> Trace:
@@ -245,19 +274,17 @@ def capture_trace(job: TraceJob, cache_dir: Optional[str] = None,
     ``cached`` is True when the store already held the capture and the
     functional frontend did not run.
     """
-    store = TraceStore(cache_dir)
-    if not force:
-        existing = store.lookup(job.key)
-        if existing is not None:
-            store.ensure_predecoded(job.key)
-            return existing, True
-    trace = build_capture(job)
-    if not len(trace):
-        raise TraceError(f"capture of {job.workload!r} produced an "
-                         f"empty trace")
-    path = store.put(job.key, trace, meta=job.describe())
-    store.ensure_predecoded(job.key)
-    return path, False
+    traces = TraceStore(cache_dir)
+    path = None if force else traces.lookup(job)
+    cached = path is not None
+    if not cached:
+        trace = build_capture(job)
+        if not len(trace):
+            raise TraceError(f"capture of {job.workload!r} produced an "
+                             f"empty trace")
+        path = traces.put(job, trace)
+    traces.store.flush()
+    return path, cached
 
 
 class CaptureResult:
@@ -277,10 +304,9 @@ def execute_trace_job(job: TraceJob) -> CaptureResult:
     """The ``trace`` kind's executor (top-level; pool-picklable).
 
     Captures into the standard :class:`TraceStore` location; the result
-    is a small pointer record — the trace itself is owned by the trace
-    store, which is why this kind opts out of the result store
-    (``cacheable=False``): double-pickling a multi-megabyte trace next
-    to its canonical ``.trace`` file would only waste disk.
+    is a small pointer record.  Capture writes its own store entry (the
+    ``.trace`` and ``.pdt`` files), which is why this kind opts out of
+    the engine's pickling (``cacheable=False``).
     """
     path, cached = capture_trace(job)
     return CaptureResult(path, cached)
@@ -312,4 +338,6 @@ register_kind(JobKind(
     decode_spec=trace_job_from_payload,
     encode_result=encode_capture_result,
     cacheable=False,
+    files=TraceStore.FILES,
+    check_files=check_trace_entry,
 ))

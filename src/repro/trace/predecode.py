@@ -51,16 +51,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import sys
-import tempfile
 from array import array
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.isa.opcodes import LATENCY_BY_INT
+from repro.utils import write_atomic
 from repro.vm.trace import DynInst
 
 #: Bump on any incompatible change to the sidecar layout or semantics.
@@ -326,21 +325,7 @@ def read_predecoded(path: str, verify: bool = True) -> PredecodedTrace:
 
 def write_predecoded(pdt: PredecodedTrace, path: str) -> str:
     """Serialize one sidecar to *path* atomically; returns the path."""
-    payload = encode_predecoded(pdt)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-pdt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(path, encode_predecoded(pdt))
 
 
 # -- materialization ----------------------------------------------------------

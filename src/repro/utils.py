@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import tempfile
 from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -71,6 +73,31 @@ def geometric_mean(values: Iterable[float]) -> float:
             raise ValueError("geometric mean requires positive values")
         product *= v
     return product ** (1.0 / len(values))
+
+
+def write_atomic(path: str, payload: bytes) -> str:
+    """Write *payload* to *path* atomically; returns the path.
+
+    The bytes go to a uniquely named temp file in the target directory
+    (created if needed), which then replaces *path* in one
+    ``os.replace``: readers see the old file or the new one, never a
+    partial write, and concurrent writers of one path never share a
+    temp file — the last replace wins.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def stable_hash(*parts: object) -> int:

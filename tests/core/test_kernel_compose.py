@@ -1,13 +1,14 @@
-"""The fused kernel must be bit-identical to the portable kernel.
+"""The specialized kernel must be bit-identical to the portable kernel.
 
 ``Processor.run`` composes the five stage modules in one of two ways:
-the default **fused** kernel (``repro.core.stages.compose`` splices the
-tick bodies into one generated function) and the **portable** kernel
-(plain closure calls, selected with ``REPRO_PORTABLE_KERNEL=1``).  Both
-are built from the same stage sources, so any divergence is a composer
-bug; these tests pin the two to exact cycle counts and exact counter
-values across port-arbitration and frontend policies, on real workload
-traces.
+the default **specialized** kernel (``repro.core.stages.compose``
+splices the tick bodies into one generated function, and
+``repro.core.stages.specialize`` folds the machine's configuration into
+it) and the **portable** kernel (plain closure calls, selected with
+``REPRO_PORTABLE_KERNEL=1``).  Both are built from the same stage
+sources, so any divergence is a composer or folding bug; these tests
+pin the two to exact cycle counts and exact counter values across
+port-arbitration and frontend policies, on real workload traces.
 
 The composer itself is also exercised structurally: it must refuse a
 stage whose tick violates the splicing rules (mid-body return,
@@ -68,22 +69,22 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
-def test_fused_matches_portable(name, make):
+def test_specialized_matches_portable(name, make):
     insts = _insts()
-    fused = _run(make(), insts, portable=False)
+    specialized = _run(make(), insts, portable=False)
     portable = _run(make(), insts, portable=True)
-    assert fused.cycles == portable.cycles
-    assert _counters(fused) == _counters(portable)
+    assert specialized.cycles == portable.cycles
+    assert _counters(specialized) == _counters(portable)
 
 
-def test_fused_matches_portable_second_workload():
+def test_specialized_matches_portable_second_workload():
     insts = _insts("126.gcc")
-    fused = _run(_config(ports="finite", frontend="gshare"), insts,
-                 portable=False)
+    specialized = _run(_config(ports="finite", frontend="gshare"), insts,
+                       portable=False)
     portable = _run(_config(ports="finite", frontend="gshare"), insts,
                     portable=True)
-    assert fused.cycles == portable.cycles
-    assert _counters(fused) == _counters(portable)
+    assert specialized.cycles == portable.cycles
+    assert _counters(specialized) == _counters(portable)
 
 
 def test_compose_source_is_valid_python():

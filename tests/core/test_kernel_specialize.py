@@ -6,7 +6,9 @@ compiled function per ``(code salt, machine description)``.  These
 tests pin the cache contract — one compile per config, invalidation on
 code-salt and config-schema changes — and the only property that makes
 the whole scheme admissible: specialized output is bit-identical to
-the portable kernel across the golden workload×config matrix.
+the portable kernel across the golden workload×config matrix and the
+port × frontend × LVAQ cross, on every config of which specialization
+must succeed (there is no unfolded fallback kernel).
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import pytest
 
 from repro.core.processor import Processor
 from repro.core.stages import specialize
+from repro.mem.ports import PORT_POLICIES
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
+from repro.workloads.builder import build_trace
 
 
 @pytest.fixture(autouse=True)
 def _specialized_mode(monkeypatch):
     """Force the default (specialized) kernel path and a cold cache."""
     monkeypatch.delenv("REPRO_PORTABLE_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_GENERIC_KERNEL", raising=False)
     specialize.clear_cache()
     yield
     specialize.clear_cache()
@@ -113,6 +116,43 @@ def test_specialized_matches_portable_second_workload(
                     "147.vortex")
     assert diff_results("147.vortex", "2+2:opt", portable,
                         specialized) == []
+
+
+#: Every port policy x frontend policy x LVAQ shape (none, plain, with
+#: fast forwarding and combining).
+CROSS = [(ports, frontend, notation)
+         for ports in sorted(PORT_POLICIES)
+         for frontend in ("perfect", "gshare")
+         for notation in ("2+0", "2+2", "2+2:opt")]
+
+
+@pytest.fixture(scope="module")
+def go_stream():
+    return build_trace("099.go", length=3000).insts
+
+
+@pytest.mark.parametrize(
+    "ports,frontend,notation", CROSS,
+    ids=[f"{notation}-{ports}-{frontend}"
+         for ports, frontend, notation in CROSS])
+def test_specialization_is_total_over_the_policy_cross(
+        ports, frontend, notation, go_stream, monkeypatch):
+    """kernel_for compiles a kernel for every config of the cross, and
+    that kernel is bit-identical to the portable one."""
+    def config():
+        config = golden_config(notation)
+        config.mem.l1_port_policy = ports
+        config.mem.lvc_port_policy = ports
+        config.frontend.policy = frontend
+        return config
+
+    before = specialize.compile_count
+    specialized = Processor(config()).run(go_stream, "099.go")
+    assert specialize.compile_count == before + 1
+    assert specialize.cached_source(config()) is not None
+    monkeypatch.setenv("REPRO_PORTABLE_KERNEL", "1")
+    portable = Processor(config()).run(go_stream, "099.go")
+    assert diff_results("099.go", notation, portable, specialized) == []
 
 
 def test_cli_emit_kernel(capsys):

@@ -9,6 +9,10 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.processor import Processor
 from repro.isa.opcodes import FuClass
+from repro.perf.golden import diff_results
+from repro.perf.reference import ReferenceProcessor
+from repro.pipeline.memqueue import INF_SEQ, MemQueueEntry
+from repro.pipeline.rob import RobEntry
 from repro.vm.trace import DynInst
 
 IALU = int(FuClass.IALU)
@@ -23,6 +27,21 @@ DATA_ADDR = 0x10000000
 def run(insts, **baseline_kwargs):
     config = MachineConfig.baseline(**baseline_kwargs)
     return Processor(config).run(list(insts), "micro")
+
+
+def run_checked(insts, lsq_size=None, **baseline_kwargs):
+    """``run``, also requiring cycles and counters equal to the frozen
+    reference core's on the same stream."""
+    def config():
+        config = MachineConfig.baseline(**baseline_kwargs)
+        if lsq_size is not None:
+            config.lsq_size = lsq_size
+        return config
+
+    result = Processor(config()).run(list(insts), "micro")
+    expected = ReferenceProcessor(config()).run(list(insts), "micro")
+    assert diff_results("micro", "micro", expected, result) == []
+    return result
 
 
 def alu(dst, srcs=()):
@@ -161,6 +180,84 @@ def test_store_combining_at_commit():
                    sp_based=True, frame=1, off=4 * i) for i in range(8)]
     result = run(burst * 6, l1_ports=2, lvc_ports=1, combining=4)
     assert result.counters.get("lvaq.store_combined") > 0
+
+
+# -- memory-queue disambiguation and forwarding ------------------------------
+#
+# Micro-streams through the kernel's inlined queue indexes, each pinned
+# to the scan-based queues of the frozen reference core.
+
+def test_youngest_earlier_same_word_store_forwards():
+    insts = [store(DATA_ADDR), store(DATA_ADDR, srcs=(5, 7)),
+             load(8, DATA_ADDR), store(DATA_ADDR, srcs=(5, 9))]
+    result = run_checked(insts)
+    assert result.counters.get("lsq.forwards") == 1
+
+
+def test_younger_same_word_store_does_not_forward():
+    insts = [store(DATA_ADDR + 64), load(8, DATA_ADDR), store(DATA_ADDR)]
+    result = run_checked(insts)
+    assert result.counters.get("lsq.forwards") == 0
+
+
+def test_fast_forward_different_offset_in_frame_matches_nothing():
+    insts = [
+        store(STACK_ADDR + 8, local=True, sp_based=True, frame=1, off=8),
+        load(8, STACK_ADDR + 12, local=True, sp_based=True, frame=1,
+             off=12),
+    ]
+    result = run_checked(insts, lvc_ports=2, fast_forwarding=True)
+    assert result.counters.get("lvaq.fast_forwards") == 0
+
+
+def test_unknown_address_non_sp_store_blocks_fast_forwarding():
+    sp_store = store(STACK_ADDR + 8, local=True, sp_based=True, frame=1,
+                     off=8)
+    sp_load = load(8, STACK_ADDR + 8, local=True, sp_based=True, frame=1,
+                   off=8)
+    # A non-sp local store whose base register waits on a divide keeps
+    # its address unknown while the load looks for a source.
+    slow_base = DynInst(IDIV, dst=9, srcs=())
+    blocker = store(STACK_ADDR + 64, local=True, srcs=(9, 6))
+    clear = run_checked([slow_base, sp_store, sp_load], lvc_ports=2,
+                        fast_forwarding=True)
+    assert clear.counters.get("lvaq.fast_forwards") == 1
+    blocked = run_checked([slow_base, sp_store, blocker, sp_load],
+                          lvc_ports=2, fast_forwarding=True)
+    assert blocked.counters.get("lvaq.fast_forwards") == 0
+
+
+def test_non_sp_load_never_fast_forwards():
+    insts = [
+        store(STACK_ADDR + 8, local=True, sp_based=True, frame=1, off=8),
+        load(8, STACK_ADDR + 8, local=True),
+    ]
+    result = run_checked(insts, lvc_ports=2, fast_forwarding=True)
+    assert result.counters.get("lvaq.fast_forwards") == 0
+    assert result.counters.get("lvaq.forwards") == 1
+
+
+def test_full_lsq_stalls_dispatch():
+    # Cold misses to distinct lines hold their LSQ entries for the
+    # memory latency, so a four-entry LSQ fills behind them.
+    insts = [load(8 + i % 8, DATA_ADDR + 4096 * i) for i in range(16)]
+    result = run_checked(insts, lsq_size=4)
+    assert result.counters.get("stall.lsq_full") > 0
+    assert run_checked(insts).counters.get("stall.lsq_full") == 0
+
+
+def test_livelock_report_names_oldest_unknown_address_store():
+    processor = Processor(MachineConfig.baseline())
+    known = MemQueueEntry(RobEntry(3, store(DATA_ADDR)), True, 0)
+    known.addr_known_time = 1
+    unknown = MemQueueEntry(RobEntry(5, store(DATA_ADDR)), True, 0)
+    later = MemQueueEntry(RobEntry(7, store(DATA_ADDR)), True, 0)
+    processor.lsq.entries.extend([known, unknown, later])
+    report = processor._livelock_report(100, 10, 3)
+    assert ("lsq 3/64 (unserviced_loads=0, oldest_unknown_store_seq=5)"
+            in report)
+    assert (f"lvaq 0/64 (unserviced_loads=0, "
+            f"oldest_unknown_store_seq={INF_SEQ})" in report)
 
 
 # -- invariants over real traces ----------------------------------------------

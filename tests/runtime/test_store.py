@@ -1,4 +1,4 @@
-"""The sharded result store: round-trips, migration, integrity, GC."""
+"""The sharded store: round-trips, salting, integrity, GC, trace entries."""
 
 from __future__ import annotations
 
@@ -10,7 +10,14 @@ import pickle
 import pytest
 
 from repro.runtime.registry import JobKind, register_kind
-from repro.runtime.store import ResultStore, StoreProblem, runtime_store
+from repro.runtime.store import (
+    ResultStore,
+    StoreProblem,
+    default_cache_dir,
+    gc_stores,
+    runtime_store,
+)
+from repro.trace.capture import TraceJob, TraceStore, capture_trace
 
 
 class BlobResult:
@@ -67,7 +74,7 @@ def test_round_trip_and_counters(store):
     assert store.writes == 1 and store.hits == 1 and store.misses == 1
     assert 0.0 < store.hit_rate < 1.0
     stats = store.stats()
-    assert stats["adopted_v1"] == 0
+    assert stats["writes"] == 1 and stats["hits"] == 1
     assert stats["salt"] == "t"
 
 
@@ -118,30 +125,15 @@ def test_wrong_result_type_is_a_miss(store):
     assert store.misses == 1
 
 
-def test_v1_entry_is_adopted_on_lookup(tmp_path):
-    store = ResultStore(str(tmp_path), salt="t")
+def test_code_salt_invalidates(tmp_path):
+    """A new code version must never serve results from an old one."""
     job = BlobJob("zeta")
-    # Fake a v1 flat-cache entry: <root>/v1/<salt>/<key[:2]>/<key>.pkl+.json
-    v1_shard = os.path.join(str(tmp_path), "v1", "t", job.key[:2])
-    os.makedirs(v1_shard)
-    with open(os.path.join(v1_shard, job.key + ".pkl"), "wb") as handle:
-        pickle.dump(BlobResult("zeta"), handle)
-    with open(os.path.join(v1_shard, job.key + ".json"), "w") as handle:
-        json.dump({"meta": {}}, handle)
-
-    found = store.lookup(job)
-    assert found == BlobResult("zeta")
-    assert store.adopted == 1
-    assert store.hits == 1
-    assert store.writes == 0  # an adoption is not a fresh result
-    # The v1 files are gone; the payload now lives in the sharded tree.
-    assert not os.path.exists(os.path.join(v1_shard, job.key + ".pkl"))
-    assert not os.path.exists(os.path.join(v1_shard, job.key + ".json"))
-    assert os.path.exists(
-        os.path.join(store.dir, job.key[:2], job.key + ".pkl"))
-    # A second lookup hits v2 directly.
-    assert store.lookup(job) == BlobResult("zeta")
-    assert store.adopted == 1
+    old = ResultStore(str(tmp_path), salt="code-v1")
+    old.store(job, BlobResult("zeta"))
+    new = ResultStore(str(tmp_path), salt="code-v2")
+    assert new.lookup(job) is None
+    # ... while the old version's entries stay untouched.
+    assert old.lookup(job) == BlobResult("zeta")
 
 
 def test_unindexed_payload_adopted_on_touch(store):
@@ -242,3 +234,104 @@ def test_runtime_store_respects_env(tmp_path, monkeypatch):
     assert store.root == str(tmp_path)
     explicit = runtime_store(str(tmp_path / "other"), salt="t")
     assert explicit.root == str(tmp_path / "other")
+
+
+def test_default_cache_dir_env(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
+    assert default_cache_dir() == "/tmp/somewhere"
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
+    assert default_cache_dir() == os.path.join("/tmp/xdg", "repro")
+
+
+# -- trace entries -------------------------------------------------------------
+
+#: Far below the 10k-instruction floor: the capture takes milliseconds.
+TRACE_JOB = dict(workload="130.li", scale=0.0001, seed=5)
+
+
+@pytest.fixture
+def traces(tmp_path):
+    job = TraceJob(**TRACE_JOB)
+    capture_trace(job, cache_dir=str(tmp_path))
+    return TraceStore(str(tmp_path)), job
+
+
+def test_disk_stats_counts_a_trace_with_both_files(traces):
+    trace_store, job = traces
+    stats = trace_store.store.disk_stats()
+    assert stats["entries"] == 1
+    assert stats["kinds"] == {"trace": 1}
+    assert stats["bytes"] == (
+        os.path.getsize(trace_store.path(job.key))
+        + os.path.getsize(trace_store.predecoded_path(job.key)))
+
+
+def test_verify_reports_a_flipped_trace_payload_byte(traces):
+    trace_store, job = traces
+    assert trace_store.store.verify() == []
+    path = trace_store.path(job.key)
+    with open(path, "r+b") as handle:
+        handle.seek(-8, os.SEEK_END)
+        byte = handle.read(1)
+        handle.seek(-8, os.SEEK_END)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    problems = trace_store.store.verify()
+    assert [p.key for p in problems] == [job.key]
+    assert "checksum mismatch" in problems[0].issue
+
+
+def test_verify_reports_a_stale_sidecar(traces):
+    from repro.trace.predecode import read_predecoded, write_predecoded
+
+    trace_store, job = traces
+    sidecar = trace_store.predecoded_path(job.key)
+    stale = read_predecoded(sidecar)
+    stale.source_sha256 = "f" * 64
+    write_predecoded(stale, sidecar)
+    problems = trace_store.store.verify()
+    assert [p.key for p in problems] == [job.key]
+    assert "another trace" in problems[0].issue
+
+
+def test_verify_reports_a_trace_that_is_not_the_indexed_one(traces,
+                                                            tmp_path):
+    trace_store, job = traces
+    other = TraceJob("129.compress", scale=0.0001, seed=5)
+    capture_trace(other, cache_dir=str(tmp_path))
+    # A well-formed trace and sidecar, but not the capture indexed here.
+    for source, target in ((trace_store.path(other.key),
+                            trace_store.path(job.key)),
+                           (trace_store.predecoded_path(other.key),
+                            trace_store.predecoded_path(job.key))):
+        with open(source, "rb") as src, open(target, "wb") as dst:
+            dst.write(src.read())
+    problems = trace_store.store.verify()
+    assert [p.key for p in problems] == [job.key]
+    assert "hash mismatch" in problems[0].issue
+
+
+def test_gc_evicts_a_trace_with_its_sidecar(traces):
+    trace_store, job = traces
+    report = trace_store.store.gc(0)
+    assert [e["kind"] for e in report["evicted"]] == ["trace"]
+    assert not os.path.exists(trace_store.path(job.key))
+    assert not os.path.exists(trace_store.predecoded_path(job.key))
+    assert trace_store.store.disk_stats()["entries"] == 0
+
+
+def test_one_budget_spans_result_and_trace_trees(traces, tmp_path):
+    trace_store, job = traces
+    results = ResultStore(str(tmp_path), salt="t")
+    blob = BlobJob("kept")
+    results.store(blob, BlobResult("kept"))
+    results.flush()
+    # The trace is older: one budget with room for the pickle only
+    # evicts the trace and keeps the newer result.
+    index = trace_store.store._load_index(job.key[:2])
+    index[job.key]["atime"] = 1.0
+    trace_store.store._mark_dirty(job.key[:2])
+    budget = results.disk_stats()["bytes"]
+    report = gc_stores([results, trace_store.store], budget)
+    assert [e["key"] for e in report["evicted"]] == [job.key]
+    assert results.lookup(blob) == BlobResult("kept")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -99,6 +100,20 @@ def test_manifest_round_trip_and_digest_guard(tmp_path):
     assert resumed.done == {"k1": {"cycles": 123}}
     with pytest.raises(ReproError, match="different sweep"):
         SweepManifest(path, _spec(configs=("4+0",)))
+
+
+def test_manifest_write_ignores_another_writers_temp_file(tmp_path):
+    """Each write uses its own temp file: a concurrent sweep's temp file
+    (here an undeletable directory at ``<manifest>.tmp``) is not in the
+    way."""
+    path = str(tmp_path / "sweep.json")
+    os.mkdir(path + ".tmp")
+    manifest = SweepManifest(path, _spec())
+    manifest.record("k1", {"cycles": 1})
+    manifest.write(["k1"])
+    with open(path) as handle:
+        assert json.load(handle)["done"] == {"k1": {"cycles": 1}}
+    assert os.path.isdir(path + ".tmp")
 
 
 # -- the driver ---------------------------------------------------------------

@@ -14,7 +14,11 @@ from repro.trace.capture import (
     capture_salt,
     capture_trace,
 )
-from repro.trace.format import TRACE_FORMAT_VERSION, read_trace
+from repro.trace.format import (
+    TRACE_FORMAT_VERSION,
+    read_trace,
+    read_trace_header,
+)
 
 #: Small spec capture: scale far below the 10k-instruction floor, so the
 #: functional frontend runs in milliseconds.
@@ -47,14 +51,46 @@ def test_store_layout_and_meta_sidecar(tmp_path):
     store = TraceStore(str(tmp_path))
     assert path == store.path(job.key)
     assert path.endswith(os.path.join(job.key[:2], job.key + ".trace"))
-    assert os.sep + "v1" + os.sep in path
-    sidecar = os.path.join(os.path.dirname(path), job.key + ".json")
-    with open(sidecar) as handle:
-        meta = json.load(handle)
-    assert meta["kind"] == "trace-capture"
-    assert meta["workload"] == "130.li"
+    assert os.sep + "v2" + os.sep in path
+    # The job's description is the entry's meta in the shard index.
+    with open(os.path.join(os.path.dirname(path), "index.json")) as handle:
+        entry = json.load(handle)["entries"][job.key]
+    assert entry["kind"] == "trace"
+    assert entry["meta"]["kind"] == "trace-capture"
+    assert entry["meta"]["workload"] == "130.li"
     # The stored file replays into the same stream the frontend built.
     assert len(read_trace(path)) == len(build_capture(job))
+
+
+def test_capture_writes_one_store_entry(tmp_path):
+    job = TraceJob(**JOB_ARGS)
+    path, _cached = capture_trace(job, cache_dir=str(tmp_path))
+    files = sorted(
+        os.path.relpath(os.path.join(root, name), str(tmp_path))
+        for root, _dirs, names in os.walk(str(tmp_path)) for name in names)
+    shard = os.path.join("v2", capture_salt(), job.key[:2])
+    assert files == [os.path.join(shard, name) for name in
+                     (job.key + ".pdt", job.key + ".trace", "index.json")]
+    with open(os.path.join(str(tmp_path), shard, "index.json")) as handle:
+        entries = json.load(handle)["entries"]
+    assert list(entries) == [job.key]
+    entry = entries[job.key]
+    assert entry["files"] == [".trace", ".pdt"]
+    assert entry["size"] == (os.path.getsize(path) + os.path.getsize(
+        TraceStore(str(tmp_path)).predecoded_path(job.key)))
+    assert entry["sha256"] == read_trace_header(path)["payload_sha256"]
+
+
+def test_corrupt_stored_trace_is_recaptured(tmp_path):
+    job = TraceJob(**JOB_ARGS)
+    path, _cached = capture_trace(job, cache_dir=str(tmp_path))
+    good = open(path, "rb").read()
+    with open(path, "r+b") as handle:
+        handle.write(b"\0" * 8)  # overwrite the magic
+    again, cached = capture_trace(job, cache_dir=str(tmp_path))
+    assert again == path and not cached
+    assert open(path, "rb").read() == good
+    assert capture_trace(job, cache_dir=str(tmp_path)) == (path, True)
 
 
 def test_capture_salt_names_format_version():
