@@ -195,9 +195,8 @@ def cmd_perf(args) -> int:
 
     if args.emit_kernel:
         from repro.core.stages.specialize import emit_source
-        from repro.perf.golden import golden_config
 
-        print(emit_source(golden_config(args.emit_kernel)))
+        print(emit_source(_parse_config(args.emit_kernel)))
         return 0
     if args.profile:
         print(bench.profile_run(args.profile, length=args.length,
@@ -646,8 +645,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="cProfile one workload instead of benchmarking")
     perf_p.add_argument("--emit-kernel", metavar="CONFIG",
                         help="print the constant-folded kernel source "
-                             "generated for a golden config notation "
-                             "(e.g. 2+2:opt) and exit")
+                             "generated for the machine N+M[:opt] "
+                             "(e.g. 2+2:opt, 4+4:opt) and exit")
     perf_p.set_defaults(func=cmd_perf)
 
     fuzz_p = sub.add_parser(

@@ -12,13 +12,16 @@ boundaries) costs 15-20% of the whole simulation — measured against the
 fused-loop ancestor this refactor decomposed.
 
 This module recovers that loss without giving up the decomposition: it
-extracts each stage's prologue and tick body *from the stage source*
-(``ast`` + source-line slicing, so the modules stay ordinary readable
-Python) and splices them into one generated run function — every stage
-guard and body inline in a single frame, exactly the shape of the
-fused ancestor.  :mod:`repro.core.stages.specialize` folds each
-machine's configuration into that source and compiles the result once
-per machine description: the specialized kernel every default
+parses each stage module once, takes its prologue, tick body and finish
+statements as AST nodes, and splices them into the parsed kernel
+skeleton below — every stage guard and body inline in a single frame,
+exactly the shape of the fused ancestor.  No source text is built: the
+result is a :class:`Composition`, the kernel tree plus what one walk
+over every node of it found — each name's store count, and the loads
+of the names a constant fold may replace, with every node above them.
+:mod:`repro.core.stages.specialize` folds each machine's configuration
+into that tree, touching only those nodes, and compiles the result
+once per machine description: the specialized kernel every default
 ``Processor.run`` executes.  The golden equivalence suite pins it to
 the seed reference bit-identically, and
 ``tests/core/test_kernel_compose.py`` and
@@ -28,22 +31,27 @@ across policies, so the two composition modes cannot drift apart.
 Splicing rules the stage modules must follow (enforced here, loudly):
 
 - prologue statements are single-target assignments; a name bound by
-  two stages must be bound by the *same source text* (the composer
-  dedupes by text and raises on conflict);
+  two stages must be bound to the *same expression* (the composer keeps
+  the first binding and raises on a conflict);
 - every tick default is an identity re-binding (``name=name``) of a
   prologue name, so the spliced body resolves to the prologue binding;
 - tick positional parameters are exactly the kernel's per-cycle scalars
   (same names, so splicing needs no renaming);
 - a tick body has no ``return`` except an optional trailing
   ``return <scalars>`` (stripped: the scalars are already kernel
-  locals);
-- ``finish`` ends with a single trailing ``return <shares-dict>``.
+  locals), and no nested ``def`` or ``lambda``;
+- ``finish`` ends with a single trailing ``return <shares-dict>`` and
+  has no other ``return``.
+
+The nested halves of the last two rules (no inner ``return``, ``def``
+or ``lambda``) are checked by the composing walk itself, so they cost
+no pass of their own.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from repro.core.stages import commit as commit_stage
 from repro.core.stages import dispatch as dispatch_stage
@@ -68,42 +76,48 @@ _STAGES = (
 #: finish() parameters the composer knows how to supply.
 _FINISH_ARGS = {"final_now": "now"}
 
-
 class ComposeError(RuntimeError):
     """A stage module violated the splicing rules."""
 
 
-def _block(lines: List[str], first: ast.stmt, last: ast.stmt,
-           from_indent: int, to_indent: int) -> str:
-    """Source text of ``first..last`` re-indented for the splice site."""
-    raw = lines[first.lineno - 1:last.end_lineno]
-    shift = to_indent - from_indent
-    out = []
-    for ln in raw:
-        if not ln.strip():
-            out.append("")
-        elif shift >= 0:
-            out.append(" " * shift + ln)
-        else:
-            out.append(ln[-shift:])
-    return "\n".join(out)
+class Composition(NamedTuple):
+    """The composed kernel and what the composing walk found in it.
+
+    Read-only once built: folding copies a node before changing it, so
+    one composition serves every machine folded from it.
+    """
+
+    #: ``Module`` holding the one ``def _fused_run(self, state)``.
+    tree: ast.Module
+    #: Name -> ``Name`` stores anywhere in the kernel (assignments,
+    #: augmented assignments, loop targets).
+    stores: Dict[str, int]
+    #: Every load of a name the composition was asked to index, and every
+    #: node above one: the only nodes a fold of those names may change.
+    touched: FrozenSet[ast.AST]
 
 
-def _stage_parts(module, key: str, positional: Tuple[str, ...],
-                 lines_cache: Dict[str, List[str]]):
-    """Extract (prologue stmts, tick body, finish body) from a stage."""
-    path = module.__file__
-    with open(path, "r", encoding="utf-8") as fh:
-        src = fh.read()
-    lines = src.split("\n")
-    lines_cache[key] = lines
-    tree = ast.parse(src)
+def _assign(name: str, value: ast.expr, where: ast.AST) -> ast.Assign:
+    """``name = value``, located at *where* for ``compile``."""
+    stmt = ast.Assign(targets=[ast.Name(id=name, ctx=ast.Store())],
+                      value=value)
+    return ast.fix_missing_locations(ast.copy_location(stmt, where))
+
+
+def _stage_parts(module, key: str, positional: Tuple[str, ...]):
+    """Parse one stage into (prologue, tick body, finish statements).
+
+    Checks the interface rules; the nested-node rules are left to the
+    composing walk.  The finish statements bind the supplied arguments,
+    run the body and name the shares dict ``_fin_<key>``.
+    """
+    with open(module.__file__, "rb") as fh:
+        tree = ast.parse(fh.read())
     bind = next(n for n in tree.body
                 if isinstance(n, ast.FunctionDef) and n.name == "bind")
 
-    prologue: List[Tuple[str, str]] = []  # (target, dedented text)
-    tick: Optional[ast.FunctionDef] = None
-    finish: Optional[ast.FunctionDef] = None
+    prologue: List[ast.Assign] = []
+    tick = finish = None
     for stmt in bind.body:
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value,
                                                      ast.Constant):
@@ -121,12 +135,11 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
             raise ComposeError(
                 f"{key}: prologue statement at line {stmt.lineno} is not "
                 f"a single-name assignment")
-        text = _block(lines, stmt, stmt, 4, 4)
-        prologue.append((stmt.targets[0].id, text))
+        prologue.append(stmt)
     if tick is None or finish is None:
         raise ComposeError(f"{key}: bind() must define tick and finish")
 
-    # --- tick: check the interface, then slice the body --------------
+    # --- tick: check the interface, then take the body ---------------
     args = tick.args
     if args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg:
         raise ComposeError(f"{key}: tick must use plain parameters")
@@ -153,16 +166,10 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
                 raise ComposeError(
                     f"{key}: tick trailing return must only name "
                     f"positional scalars, got {ast.unparse(ret)}")
-    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-        if isinstance(node, (ast.Return, ast.FunctionDef, ast.Lambda)):
-            raise ComposeError(
-                f"{key}: tick body may not contain nested returns, "
-                f"defs or lambdas (line {node.lineno})")
     if not body:
         raise ComposeError(f"{key}: tick body is empty")
-    tick_text = (body[0], body[-1])
 
-    # --- finish: statements plus the trailing shares dict ------------
+    # --- finish: bind the arguments, keep the body, name the shares --
     fargs = [a.arg for a in finish.args.args]
     for a in fargs:
         if a not in _FINISH_ARGS:
@@ -172,19 +179,123 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
             and fbody[-1].value is not None):
         raise ComposeError(f"{key}: finish must end with `return <dict>`")
     fret = fbody.pop()
-    for node in ast.walk(ast.Module(body=fbody, type_ignores=[])):
-        if isinstance(node, ast.Return):
-            raise ComposeError(f"{key}: finish has a mid-body return")
-    return prologue, tick_text, (fargs, fbody, fret)
+    fin = ([_assign(a, ast.Name(id=_FINISH_ARGS[a], ctx=ast.Load()),
+                    finish) for a in fargs]
+           + fbody + [_assign(f"_fin_{key}", fret.value, fret)])
+    return prologue, body, fin
 
 
-# The kernel skeleton.  ``{...}`` slots receive the spliced stage text;
-# everything else mirrors Processor._portable_kernel line for line (the
-# cross-kernel equivalence test keeps them honest).
-_KERNEL_TEMPLATE = """\
+def _scan(node: ast.AST, names: FrozenSet[str], stores: Dict[str, int],
+          touched: Set[ast.AST], forbid: tuple, rule: str) -> bool:
+    """The composing walk over *node* and everything below it.
+
+    Counts ``Name`` stores into *stores*, raises ``ComposeError(rule)``
+    on a node of a *forbid* type, and adds every load of one of *names*,
+    and every node above one, to *touched*.  Returns whether *node* was
+    added.
+    """
+    if type(node) is ast.Name:
+        if type(node.ctx) is ast.Store:
+            stores[node.id] = stores.get(node.id, 0) + 1
+            return False
+        hit = node.id in names
+    else:
+        if forbid and isinstance(node, forbid):
+            raise ComposeError(f"{rule} (line {node.lineno})")
+        hit = False
+        for field in node._fields:
+            value = getattr(node, field)
+            if type(value) is list:
+                for item in value:
+                    if (isinstance(item, ast.AST)
+                            and _scan(item, names, stores, touched, forbid,
+                                      rule)):
+                        hit = True
+            elif (isinstance(value, ast.AST)
+                    and _scan(value, names, stores, touched, forbid, rule)):
+                hit = True
+    if hit:
+        touched.add(node)
+    return hit
+
+
+def _splice(block: List[ast.stmt],
+            parts: Dict[str, List[ast.stmt]]) -> List[ast.stmt]:
+    """*block* with every slot statement replaced by its part.
+
+    A slot is a bare name statement (``TICK_commit``) in a ``body``,
+    ``orelse`` or ``finalbody`` of the skeleton; each part is consumed
+    by the one slot it fills.
+    """
+    out: List[ast.stmt] = []
+    for stmt in block:
+        if (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Name)
+                and stmt.value.id in parts):
+            out.extend(parts.pop(stmt.value.id))
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            inner = getattr(stmt, field, None)
+            if inner:
+                setattr(stmt, field, _splice(inner, parts))
+        out.append(stmt)
+    return out
+
+
+def compose_kernel(names: FrozenSet[str]) -> Composition:
+    """Compose the fused kernel from the five stage modules, indexing
+    every load of *names* (see :class:`Composition`)."""
+    stores: Dict[str, int] = {}
+    touched: Set[ast.AST] = set()
+    prologue: List[ast.stmt] = []
+    seen: Dict[str, ast.Assign] = {}
+    parts: Dict[str, List[ast.stmt]] = {}
+    finishes: List[ast.stmt] = []
+
+    for module, key, positional in _STAGES:
+        stage_prologue, tick, fin = _stage_parts(module, key, positional)
+        for stmt in stage_prologue:
+            target = stmt.targets[0].id
+            prior = seen.get(target)
+            if prior is None:
+                seen[target] = stmt
+                prologue.append(stmt)
+                _scan(stmt, names, stores, touched, (), "")
+            elif ast.dump(prior.value) != ast.dump(stmt.value):
+                raise ComposeError(
+                    f"{key}: prologue rebinds {target!r} with different "
+                    f"source: {ast.unparse(stmt)!r} vs "
+                    f"{ast.unparse(prior)!r}")
+        for stmt in tick:
+            _scan(stmt, names, stores, touched,
+                  (ast.Return, ast.FunctionDef, ast.Lambda),
+                  f"{key}: tick body may not contain nested returns, defs "
+                  f"or lambdas")
+        for stmt in fin:
+            _scan(stmt, names, stores, touched, (ast.Return,),
+                  f"{key}: finish has a mid-body return")
+        parts[f"TICK_{key}"] = tick
+        finishes.extend(fin)
+    parts["PROLOGUE"] = prologue
+    parts["FINISHES"] = finishes
+
+    # The skeleton's slots count as indexed loads, so every node above a
+    # spliced part is indexed as if the part had been walked in place.
+    tree = ast.parse(_SKELETON)
+    _scan(tree, names | frozenset(parts), stores, touched, (), "")
+    tree.body = _splice(tree.body, parts)
+    if parts:
+        raise ComposeError(f"kernel skeleton lacks slots {sorted(parts)}")
+    return Composition(tree, stores, frozenset(touched))
+
+
+# The kernel skeleton.  Bare ``PROLOGUE``, ``TICK_<stage>`` and
+# ``FINISHES`` statements are the slots the stage parts fill; the rest mirrors
+# Processor._portable_kernel line for line (the cross-kernel equivalence
+# test keeps them honest).
+_SKELETON = """\
 def _fused_run(self, state):
     insts = state.insts
-{prologues}
+    PROLOGUE
     # ---- kernel-owned scalars ----------------------------------------
     index = 0
     limit = total * 80 + 1000
@@ -228,19 +339,19 @@ def _fused_run(self, state):
                     lvc_new_cycle()
             # ---- commit -------------------------------------------
             if rob_count and rob_entries[0].state == 2:
-{commit}
+                TICK_commit
             # ---- writeback ----------------------------------------
             if store_done or overflow or ring[now & MASK]:
-{writeback}
+                TICK_writeback
             # ---- memory -------------------------------------------
             if lsq_unserviced or lvaq_unserviced:
-{memory}
+                TICK_memory
             # ---- issue --------------------------------------------
             if sleep or ready_fifo or woken:
-{issue}
+                TICK_issue
             # ---- dispatch -----------------------------------------
             if index < total:
-{dispatch}
+                TICK_dispatch
             # ---- cycle skip ---------------------------------------
             if (not ready_fifo
                     and not woken
@@ -283,9 +394,10 @@ def _fused_run(self, state):
         self._committed = committed_total
         lsq.unserviced_loads = lsq_unserviced
         lvaq.unserviced_loads = lvaq_unserviced
-{finishes}
-        _shares = {{}}
-        for _fin in ({fin_names}):
+        FINISHES
+        _shares = {}
+        for _fin in (_fin_commit, _fin_writeback, _fin_memory, _fin_issue,
+                     _fin_dispatch):
             for _k, _v in _fin.items():
                 _shares[_k] = _shares.get(_k, 0) + _v
         _l1_busy = _shares.pop("_l1_busy", 0)
@@ -316,49 +428,3 @@ def _fused_run(self, state):
     return (now, committed_total, index, _shares, exceeded,
             n_skip_rob_full)
 """
-
-
-def compose_source() -> str:
-    """Build the fused kernel source from the five stage modules."""
-    lines_cache: Dict[str, List[str]] = {}
-    prologue_lines: List[str] = []
-    seen: Dict[str, str] = {}
-    splices: Dict[str, str] = {}
-    finish_parts: List[str] = []
-    fin_names: List[str] = []
-
-    for module, key, positional in _STAGES:
-        prologue, (t_first, t_last), (fargs, fbody, fret) = _stage_parts(
-            module, key, positional, lines_cache)
-        for target, text in prologue:
-            prior = seen.get(target)
-            if prior is None:
-                seen[target] = text
-                prologue_lines.append(text)
-            elif prior.strip() != text.strip():
-                raise ComposeError(
-                    f"{key}: prologue rebinds {target!r} with different "
-                    f"source: {text.strip()!r} vs {prior.strip()!r}")
-        splices[key] = _block(lines_cache[key], t_first, t_last, 8, 16)
-
-        fin = f"_fin_{key}"
-        fin_names.append(fin)
-        part = []
-        for a in fargs:
-            part.append(f"        {a} = {_FINISH_ARGS[a]}")
-        if fbody:
-            part.append(_block(lines_cache[key], fbody[0], fbody[-1],
-                               8, 8))
-        part.append(f"        {fin} = {ast.unparse(fret.value)}")
-        finish_parts.append("\n".join(part))
-
-    return _KERNEL_TEMPLATE.format(
-        prologues="\n".join(prologue_lines),
-        commit=splices["commit"],
-        writeback=splices["writeback"],
-        memory=splices["memory"],
-        issue=splices["issue"],
-        dispatch=splices["dispatch"],
-        finishes="\n".join(finish_parts),
-        fin_names=", ".join(fin_names),
-    )

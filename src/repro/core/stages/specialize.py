@@ -8,17 +8,21 @@ on them millions of times per simulation.  All of those values are
 pure functions of the config — so for a *bound* machine they are
 compile-time constants.
 
-This module folds them in.  It parses the composed source, evaluates
-the run-constant prologue bindings against a live ``(processor,
-state)`` pair, substitutes the whitelisted config scalars as literals,
-and then constant-folds the tree bottom-up — boolean operators with
+This module folds them in.  It works on the composition's AST: no
+source text is parsed per config.  It evaluates the run-constant
+prologue bindings the folded names depend on against a live
+``(processor, state)`` pair, substitutes the whitelisted config scalars
+as literals, and then constant-folds bottom-up — boolean operators with
 exact short-circuit semantics, comparisons, arithmetic, conditional
 expressions, and ``if`` statements whose test folded to a constant
 (dead policy arms are deleted outright: a ``2+0`` machine's kernel
 contains no LVAQ walk at all, a ``perfect``-frontend kernel no gate
-bookkeeping).  The result is compiled once per machine description and
-cached for the life of the process, so `repro.runtime` workers keep
-specialized kernels warm across jobs.
+bookkeeping).  The fold visits only the nodes the composer indexed —
+the loads of a foldable name and the nodes above them, about 300 of
+the kernel's ~9,400 — and copies a node before changing it, so the
+composition stays intact for the next machine.  The result is compiled
+once per machine description and cached for the life of the process,
+so `repro.runtime` workers keep specialized kernels warm across jobs.
 
 Safety rules (a config that cannot be folded under them raises
 :class:`SpecializeError`; there is no unfolded fallback):
@@ -38,12 +42,13 @@ Safety rules (a config that cannot be folded under them raises
   cross-kernel equivalence suite).
 
 Cache keying: ``(kernel code salt, canonical describe_machine JSON)``.
-The code salt hashes the composed generic source plus this module, so
-editing any stage or the folding rules invalidates every entry; the
-machine description includes ``CONFIG_SCHEMA_VERSION``, so a schema
-bump does too.  The composition the salt hashes is built once and reused
-by every specialization under that salt; the folded tree is compiled
-directly, and source text is rendered only on request
+The code salt hashes the bytes of the five stage modules, the composer
+and this module, so editing any stage, the skeleton or the folding
+rules invalidates every entry, and a cache hit neither reads nor parses
+a stage; the machine description includes ``CONFIG_SCHEMA_VERSION``,
+so a schema bump does too.  The composition is built on the first miss
+under a salt and reused by every specialization under it; the folded
+tree is compiled directly, and source text is rendered only on request
 (:func:`cached_source`, :func:`emit_source`): ``repro-cc perf
 --emit-kernel <config>`` dumps it for inspection.  :func:`clear_cache`
 drops the kernels, the salt and the composition.
@@ -60,13 +65,15 @@ import ast
 import gc as _gc
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from types import CodeType
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.stages.compose import _STAGES, compose_source
+from repro.core.stages import compose
+from repro.core.stages.compose import _STAGES, Composition, compose_kernel
 
 
 class SpecializeError(RuntimeError):
-    """The composed source could not be soundly specialized."""
+    """The composed kernel could not be soundly specialized."""
 
 
 #: Config-only scalars the folder may substitute.  Everything else —
@@ -108,49 +115,115 @@ _CMP_OPS = {
     ast.GtE: lambda a, b: a >= b,
 }
 
+#: Every name a fold may replace: the config scalars, and ``gates``
+#: under the perfect frontend.  The composer indexes their loads.
+_FOLD_NAMES = CONST_NAMES | {"gates"}
 
-def _single_store_names(fn: ast.FunctionDef) -> Dict[str, int]:
-    """Count ``Name`` stores (incl. aug-assign and loop targets)."""
-    counts: Dict[str, int] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            counts[node.id] = counts.get(node.id, 0) + 1
-    return counts
+#: (target, compiled right-hand side) of the prologue bindings to
+#: evaluate, in kernel order.
+_Plan = List[Tuple[str, CodeType]]
 
 
-def _prologue_values(fn: ast.FunctionDef, processor, state,
-                     genv: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate the call-free top-level bindings in source order.
+def _prologue_plan(fn: ast.FunctionDef) -> _Plan:
+    """The top-level bindings the :data:`CONST_NAMES` values depend on.
 
-    Any right-hand side containing a call is skipped (it may be
-    effectful — ``frontend.prepare`` must run exactly once, in the
-    kernel); an evaluation error just leaves the name unbound, which
-    disables folding for it and anything downstream of it.
+    Only call-free single-name assignments qualify: a right-hand side
+    containing a call may be effectful (``frontend.prepare`` must run
+    exactly once, in the kernel).  A binding is kept when it binds a
+    listed name or a name a later kept binding loads, so evaluating the
+    plan in order gives each listed name the value evaluating every
+    qualifying binding would.
     """
-    local: Dict[str, Any] = {"self": processor, "state": state}
+    candidates = []
     for stmt in fn.body:
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)):
             continue
-        if any(isinstance(n, ast.Call) for n in ast.walk(stmt.value)):
+        nodes = list(ast.walk(stmt.value))
+        if any(isinstance(n, ast.Call) for n in nodes):
             continue
-        expr = ast.Expression(body=stmt.value)
-        ast.fix_missing_locations(expr)
+        loads = {n.id for n in nodes if isinstance(n, ast.Name)}
+        candidates.append((stmt.targets[0].id, loads, stmt.value))
+    needed = set(CONST_NAMES)
+    plan: _Plan = []
+    for target, loads, value in reversed(candidates):
+        if target in needed:
+            needed |= loads
+            plan.append((target, compile(ast.Expression(body=value),
+                                         "<specialize-prologue>", "eval")))
+    plan.reverse()
+    return plan
+
+
+def _prologue_values(plan: _Plan, processor, state,
+                     genv: Dict[str, Any]) -> Dict[str, Any]:
+    """Evaluate *plan* against the live ``(processor, state)`` pair.
+
+    An evaluation error just leaves the name unbound, which disables
+    folding for it and anything downstream of it.
+    """
+    local: Dict[str, Any] = {"self": processor, "state": state}
+    for target, code in plan:
         try:
-            value = eval(  # noqa: S307 - our own composed source
-                compile(expr, "<specialize-prologue>", "eval"),
-                genv, local)
+            local[target] = eval(  # noqa: S307 - our own composed kernel
+                code, genv, local)
         except Exception:
             continue
-        local[stmt.targets[0].id] = value
     return local
 
 
-class _Folder(ast.NodeTransformer):
-    """Substitute ``const_map`` names and fold constants bottom-up."""
+def _replace(node: ast.AST, **fields) -> ast.AST:
+    """A shallow copy of *node* with *fields* replaced."""
+    new = node.__class__.__new__(node.__class__)
+    new.__dict__.update(node.__dict__, **fields)
+    return new
 
-    def __init__(self, const_map: Dict[str, Any]):
+
+class _Folder:
+    """Substitute ``const_map`` names and fold constants bottom-up.
+
+    Visits only the composition's touched nodes, the loads of a
+    foldable name and every node above one, so only expressions that
+    hold a folded name are reduced; a literal-only one such as ``-1`` is
+    left as written.  Never mutates a node: one whose children changed
+    is copied first, so the composition stays intact.
+    """
+
+    def __init__(self, const_map: Dict[str, Any],
+                 touched: FrozenSet[ast.AST]):
         self.const_map = const_map
+        self.touched = touched
+
+    def fold(self, node: ast.AST):
+        """*node* folded: itself when nothing in it changed, a copy when
+        something did, a statement list for a decided ``if``."""
+        touched = self.touched
+        changed = {}
+        for field in node._fields:
+            old = getattr(node, field)
+            if isinstance(old, list):
+                new = []
+                dirty = False
+                for item in old:
+                    if item in touched:
+                        folded = self.fold(item)
+                        if folded is not item:
+                            dirty = True
+                            if isinstance(folded, list):
+                                new.extend(folded)
+                                continue
+                        item = folded
+                    new.append(item)
+                if dirty:
+                    changed[field] = new
+            elif old in touched:
+                new = self.fold(old)
+                if new is not old:
+                    changed[field] = new
+        if changed:
+            node = _replace(node, **changed)
+        visit = getattr(self, "visit_" + node.__class__.__name__, None)
+        return node if visit is None else visit(node)
 
     def _const(self, value, node):
         return ast.copy_location(ast.Constant(value=value), node)
@@ -161,7 +234,6 @@ class _Folder(ast.NodeTransformer):
         return node
 
     def visit_UnaryOp(self, node: ast.UnaryOp):
-        self.generic_visit(node)
         v = node.operand
         if isinstance(v, ast.Constant):
             if isinstance(node.op, ast.Not):
@@ -173,7 +245,6 @@ class _Folder(ast.NodeTransformer):
         return node
 
     def visit_BinOp(self, node: ast.BinOp):
-        self.generic_visit(node)
         op = _BIN_OPS.get(type(node.op))
         if (op is not None
                 and isinstance(node.left, ast.Constant)
@@ -188,7 +259,6 @@ class _Folder(ast.NodeTransformer):
         return node
 
     def visit_Compare(self, node: ast.Compare):
-        self.generic_visit(node)
         if len(node.ops) != 1 or not (
                 isinstance(node.left, ast.Constant)
                 and isinstance(node.comparators[0], ast.Constant)):
@@ -213,7 +283,6 @@ class _Folder(ast.NodeTransformer):
         return node
 
     def visit_BoolOp(self, node: ast.BoolOp):
-        self.generic_visit(node)
         is_and = isinstance(node.op, ast.And)
         out = []
         for value in node.values:
@@ -232,17 +301,16 @@ class _Folder(ast.NodeTransformer):
             return self._const(is_and, node)
         if len(out) == 1:
             return out[0]
-        node.values = out
-        return node
+        if len(out) == len(node.values):
+            return node
+        return _replace(node, values=out)
 
     def visit_IfExp(self, node: ast.IfExp):
-        self.generic_visit(node)
         if isinstance(node.test, ast.Constant):
             return node.body if node.test.value else node.orelse
         return node
 
     def visit_If(self, node: ast.If):
-        self.generic_visit(node)
         if not isinstance(node.test, ast.Constant):
             return node
         chosen = node.body if node.test.value else node.orelse
@@ -273,22 +341,16 @@ def _stage_globals() -> Dict[str, Any]:
 def _specialize(processor, state) -> Tuple[ast.Module, Dict[str, Any]]:
     """The folded kernel tree for ``processor.config``, and the names
     folded into it."""
-    tree = ast.parse(_composition())
-    fn = tree.body[0]
-    if not isinstance(fn, ast.FunctionDef):  # pragma: no cover
-        raise SpecializeError("composed source is not a function")
-
-    genv = _stage_globals()
-    values = _prologue_values(fn, processor, state, genv)
-    stores = _single_store_names(fn)
+    composition, plan = _composition()
+    values = _prologue_values(plan, processor, state, _stage_globals())
+    stores = composition.stores
 
     const_map: Dict[str, Any] = {}
     for name in CONST_NAMES:
         if stores.get(name) != 1 or name not in values:
             continue
         value = values[name]
-        if isinstance(value, bool) or (isinstance(value, int)
-                                       and not isinstance(value, bool)):
+        if isinstance(value, int):  # bool is an int
             const_map[name] = value
     # Policy fact: the perfect frontend prepares no gate list, so the
     # dispatch gating machinery is dead code.  (Under any other policy
@@ -298,13 +360,12 @@ def _specialize(processor, state) -> Tuple[ast.Module, Dict[str, Any]]:
         const_map["gates"] = None
     if not const_map:
         raise SpecializeError("no foldable config constants found")
-    return _fold(tree, const_map), const_map
+    return _fold(composition, const_map), const_map
 
 
-def _fold(tree: ast.Module, const_map: Dict[str, Any]) -> ast.Module:
-    folded = _Folder(const_map).visit(tree)
-    ast.fix_missing_locations(folded)
-    return folded
+def _fold(composition: Composition,
+          const_map: Dict[str, Any]) -> ast.Module:
+    return _Folder(const_map, composition.touched).fold(composition.tree)
 
 
 def _render(notation: str, folded: ast.Module,
@@ -331,26 +392,29 @@ _CACHE: Dict[str, Tuple[Any, Dict[str, Any], str]] = {}
 compile_count = 0
 
 _SALT: Optional[str] = None
-#: The composed generic source ``_SALT`` hashes: composed once per salt
-#: and reused by every specialization under it.
-_COMPOSED: Optional[str] = None
+#: The composition and its prologue plan: built on the first miss under
+#: ``_SALT`` and shared by every specialization under it.
+_COMPOSED: Optional[Tuple[Composition, _Plan]] = None
 
 
-def _composition() -> str:
+def _composition() -> Tuple[Composition, _Plan]:
     global _COMPOSED
     if _COMPOSED is None:
-        _COMPOSED = compose_source()
+        composition = compose_kernel(_FOLD_NAMES)
+        _COMPOSED = composition, _prologue_plan(composition.tree.body[0])
     return _COMPOSED
 
 
 def kernel_salt() -> str:
-    """Hash of the generic composed source plus the folding rules."""
+    """Hash of the kernel's sources: the stages, the composer and the
+    folding rules, read as bytes."""
     global _SALT
     if _SALT is None:
         h = hashlib.sha256()
-        h.update(_composition().encode("utf-8"))
-        with open(__file__, "rb") as fh:
-            h.update(fh.read())
+        paths = [module.__file__ for module, _key, _pos in _STAGES]
+        for path in paths + [compose.__file__, __file__]:
+            with open(path, "rb") as fh:
+                h.update(fh.read())
         _SALT = h.hexdigest()[:16]
     return _SALT
 
@@ -376,7 +440,7 @@ def kernel_for(processor, state):
     """The specialized kernel for ``processor.config``.
 
     Compiles at most once per ``(code salt, machine description)`` for
-    the life of the process.  A config whose source cannot be soundly
+    the life of the process.  A config that cannot be soundly
     specialized raises :class:`SpecializeError`.
     """
     global compile_count
@@ -405,8 +469,7 @@ def cached_source(config) -> Optional[str]:
     if hit is None:
         return None
     _kernel, const_map, notation = hit
-    folded = _fold(ast.parse(_composition()), const_map)
-    return _render(notation, folded, const_map)
+    return _render(notation, _fold(_composition()[0], const_map), const_map)
 
 
 def emit_source(config) -> str:

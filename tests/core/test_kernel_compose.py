@@ -11,9 +11,8 @@ pin the two to exact cycle counts and exact counter values across
 port-arbitration and frontend policies, on real workload traces.
 
 The composer itself is also exercised structurally: it must refuse a
-stage whose tick violates the splicing rules (mid-body return,
-non-identity default), because a silent mis-splice would surface as a
-subtly wrong timing model.
+stage that violates any splicing rule (one case per rule), because a
+silent mis-splice would surface as a subtly wrong timing model.
 """
 
 import os
@@ -87,67 +86,138 @@ def test_specialized_matches_portable_second_workload():
     assert _counters(specialized) == _counters(portable)
 
 
-def test_compose_source_is_valid_python():
+def _tick_guards(fn):
+    """The ``if`` statements of the kernel's cycle loop, in order."""
     import ast
 
-    from repro.core.stages.compose import compose_source
-
-    source = compose_source()
-    ast.parse(source)
-    # The five stage splices and the shared epilogue are all present.
-    for marker in ("# ---- commit", "# ---- writeback", "# ---- memory",
-                   "# ---- issue", "# ---- dispatch", "_fin_commit",
-                   "_fin_dispatch"):
-        assert marker in source
+    (body,) = [stmt.body for stmt in fn.body if isinstance(stmt, ast.Try)]
+    (loop,) = [stmt for stmt in body if isinstance(stmt, ast.While)]
+    return [stmt for stmt in loop.body if isinstance(stmt, ast.If)]
 
 
-def test_composer_rejects_rule_violations():
-    """The splicing rules are enforced, not assumed."""
-    import textwrap
+def test_compose_source_is_valid_python():
+    """The composition is one compilable function, every stage spliced
+    into its slot, with the store counts folding relies on."""
+    import ast
+
+    from repro.core.stages import compose
+
+    composition = compose.compose_kernel(frozenset({"width"}))
+    (fn,) = composition.tree.body
+    assert isinstance(fn, ast.FunctionDef) and fn.name == "_fused_run"
+    compile(composition.tree, "<composed>", "exec")
+
+    names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    assert not {"PROLOGUE", "FINISHES"} & names
+    assert not [name for name in names if name.startswith("TICK_")]
+    # Each stage's tick body opens a guard of the cycle loop, in stage
+    # order, and its finish names its shares exactly once.
+    openers = [ast.dump(guard.body[0]) for guard in _tick_guards(fn)]
+    at = -1
+    for module, key, positional in compose._STAGES:
+        _prologue, tick, _fin = compose._stage_parts(module, key,
+                                                     positional)
+        at = openers.index(ast.dump(tick[0]), at + 1)
+        assert composition.stores[f"_fin_{key}"] == 1
+    # Config scalars are bound once; loop-carried scalars are not.
+    assert composition.stores["width"] == 1
+    assert composition.stores["now"] > 1
+    assert fn in composition.touched
+
+
+#: A stage that follows every splicing rule; each violation below edits
+#: one line of it.  It stands in for the writeback stage, whose tick
+#: takes only ``now``.
+CONFORMING_STAGE = """\
+def bind(state):
+    ring = state.ring
+    lsq = state.lsq
+
+    def tick(now, ring=ring):
+        nonlocal lsq
+        if ring:
+            ring[now] = 1
+        return now
+
+    def finish(final_now):
+        shares = {"_l1_busy": final_now}
+        return shares
+
+    return tick, finish
+"""
+
+#: (id, lines of CONFORMING_STAGE, their replacement, the error raised).
+RULE_VIOLATIONS = [
+    ("prologue-not-assignment", "    ring = state.ring",
+     "    ring = other = state.ring", "not a single-name assignment"),
+    ("prologue-rebinds", "    lsq = state.lsq", "    lsq = state.lvaq",
+     "prologue rebinds 'lsq' with different source"),
+    ("tick-positional", "    def tick(now, ring=ring):",
+     "    def tick(now, rob_count, ring=ring):",
+     "tick positional parameters"),
+    ("tick-default", "    def tick(now, ring=ring):",
+     "    def tick(now, slots=ring):", "not an identity re-binding"),
+    ("tick-star-args", "    def tick(now, ring=ring):",
+     "    def tick(now, *rest):", "tick must use plain parameters"),
+    ("tick-return-value", "        return now", "        return ring",
+     "trailing return must only name positional scalars"),
+    ("tick-nested-return", "            ring[now] = 1",
+     "            return", "may not contain nested returns"),
+    ("tick-nested-def", "            ring[now] = 1",
+     "            def later(): pass", "may not contain nested returns"),
+    ("tick-lambda", "            ring[now] = 1",
+     "            ring[now] = lambda: now",
+     "may not contain nested returns"),
+    ("tick-empty", "        if ring:\n            ring[now] = 1\n"
+     "        return now", "        return now", "tick body is empty"),
+    ("finish-parameter", "    def finish(final_now):",
+     "    def finish(cycles):", "finish parameter cycles unsupported"),
+    ("finish-mid-return", "        shares = {\"_l1_busy\": final_now}",
+     "        if final_now:\n            return {}\n"
+     "        shares = {}", "finish has a mid-body return"),
+    ("finish-no-return", "        return shares", "        shares.clear()",
+     "finish must end with `return <dict>`"),
+    ("no-finish", "    def finish(final_now):\n"
+     "        shares = {\"_l1_busy\": final_now}\n        return shares",
+     "    finish = None", "bind\\(\\) must define tick and finish"),
+]
+
+
+@pytest.fixture
+def compose_with_stage(tmp_path, monkeypatch):
+    """Compose the kernel with the writeback stage's source replaced."""
     import types
 
     from repro.core.stages import compose
 
-    bad_return = types.ModuleType("bad_stage")
-    bad_return.__file__ = "/tmp/bad_stage_return.py"
-    source = textwrap.dedent(
-        '''
-        def bind(state):
-            x = state.x
+    def run(source):
+        path = tmp_path / "stage.py"
+        path.write_text(source, encoding="utf-8")
+        stage = types.ModuleType("stage")
+        stage.__file__ = str(path)
+        stages = tuple((stage, key, positional) if key == "writeback"
+                       else (module, key, positional)
+                       for module, key, positional in compose._STAGES)
+        monkeypatch.setattr(compose, "_STAGES", stages)
+        return compose.compose_kernel(frozenset())
 
-            def tick(now, x=x):
-                if x:
-                    return 1
-                x += 1
+    return run
 
-            def finish():
-                return {}
 
-            return tick, finish
-        '''
-    )
-    with open(bad_return.__file__, "w", encoding="utf-8") as handle:
-        handle.write(source)
-    with pytest.raises(compose.ComposeError):
-        compose._stage_parts(bad_return, "bad", ("now",), {})
+def test_composer_accepts_a_conforming_stage(compose_with_stage):
+    composition = compose_with_stage(CONFORMING_STAGE)
+    compile(composition.tree, "<composed>", "exec")
 
-    bad_default = types.ModuleType("bad_stage2")
-    bad_default.__file__ = "/tmp/bad_stage_default.py"
-    source = textwrap.dedent(
-        '''
-        def bind(state):
-            x = state.x
 
-            def tick(now, y=x):
-                y += 1
+@pytest.mark.parametrize("old,new,error",
+                         [case[1:] for case in RULE_VIOLATIONS],
+                         ids=[case[0] for case in RULE_VIOLATIONS])
+def test_composer_rejects_rule_violations(compose_with_stage, old, new,
+                                          error):
+    """The splicing rules are enforced, not assumed."""
+    from repro.core.stages import compose
 
-            def finish():
-                return {}
-
-            return tick, finish
-        '''
-    )
-    with open(bad_default.__file__, "w", encoding="utf-8") as handle:
-        handle.write(source)
-    with pytest.raises(compose.ComposeError):
-        compose._stage_parts(bad_default, "bad2", ("now",), {})
+    assert CONFORMING_STAGE.count(old + "\n") == 1
+    source = CONFORMING_STAGE.replace(old + "\n", new + "\n")
+    with pytest.raises(compose.ComposeError, match=error):
+        compose_with_stage(source)

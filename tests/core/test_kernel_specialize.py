@@ -1,14 +1,15 @@
 """Specialized-kernel cache behaviour and bit-identity.
 
 The specialized kernel (:mod:`repro.core.stages.specialize`) constant-
-folds the bound MachineConfig into the composed source and caches the
-compiled function per ``(code salt, machine description)``.  These
+folds the bound MachineConfig into the composed kernel tree and caches
+the compiled function per ``(code salt, machine description)``.  These
 tests pin the cache contract — one compile per config, invalidation on
-code-salt and config-schema changes — and the only property that makes
-the whole scheme admissible: specialized output is bit-identical to
-the portable kernel across the golden workload×config matrix and the
-port × frontend × LVAQ cross, on every config of which specialization
-must succeed (there is no unfolded fallback kernel).
+code-salt and config-schema changes, one composition per salt that no
+fold changes and that reference counting alone frees — and the only
+property that makes the whole scheme admissible: specialized output is
+bit-identical to the portable kernel across the golden workload×config
+matrix and the port × frontend × LVAQ cross, on every config of which
+specialization must succeed (there is no unfolded fallback kernel).
 """
 
 from __future__ import annotations
@@ -164,17 +165,42 @@ def test_cli_emit_kernel(capsys):
     assert "def _fused_run" in out
 
 
+def test_cli_emit_kernel_takes_any_notation(capsys):
+    """``--emit-kernel`` parses N+M[:opt] as ``sim --config`` does; for a
+    golden name that is the golden machine, so its output is unchanged."""
+    from repro.cli import main
+    from repro.core.registry import describe_machine
+    from repro.runtime.job import parse_notation
+
+    for notation, _kw in GOLDEN_CONFIGS:
+        assert (describe_machine(parse_notation(notation))
+                == describe_machine(golden_config(notation)))
+    assert main(["perf", "--emit-kernel", "4+4:opt"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# specialized kernel: (4+4)")
+    compile(out, "<emitted>", "exec")
+
+
+def test_cli_emit_kernel_rejects_a_malformed_notation(capsys):
+    from repro.cli import main
+
+    assert main(["perf", "--emit-kernel", "8x8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad configuration '8x8'" in captured.err
+
+
 def test_cold_kernel_for_composes_once(small_li_trace, monkeypatch):
     """One composition serves the salt and every specialization under it;
     clear_cache drops it with the kernels."""
     calls = []
-    compose = specialize.compose_source
+    compose = specialize.compose_kernel
 
-    def counting_compose():
+    def counting_compose(names):
         calls.append(1)
-        return compose()
+        return compose(names)
 
-    monkeypatch.setattr(specialize, "compose_source", counting_compose)
+    monkeypatch.setattr(specialize, "compose_kernel", counting_compose)
     config = golden_config("2+2:opt")
     _run(config, small_li_trace)
     assert len(calls) == 1
@@ -187,3 +213,74 @@ def test_cold_kernel_for_composes_once(small_li_trace, monkeypatch):
     specialize.clear_cache()
     _run(config, small_li_trace)
     assert len(calls) == 2
+
+
+def _fold_configs():
+    """The six golden machines plus one finite-port gshare machine."""
+    configs = [(notation, lambda n=notation: golden_config(n))
+               for notation, _kw in GOLDEN_CONFIGS]
+
+    def finite_gshare():
+        config = golden_config("2+2:opt")
+        config.mem.l1_port_policy = "finite"
+        config.mem.lvc_port_policy = "finite"
+        config.frontend.policy = "gshare"
+        return config
+
+    return configs + [("2+2:opt-finite-gshare", finite_gshare)]
+
+
+def _cold_kernel(config):
+    from repro.core.stages.state import CoreState
+
+    processor = Processor(config)
+    return specialize.kernel_for(processor, CoreState(processor, []))
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_folding_leaves_the_composition_intact(order):
+    """Folding copies before it changes a node: every config folded from
+    one composition renders as a fresh composition would, in any order,
+    and the composition itself does not change."""
+    import ast
+
+    configs = _fold_configs()
+    fresh = {}
+    for label, make in configs:
+        specialize.clear_cache()
+        fresh[label] = specialize.emit_source(make())
+
+    specialize.clear_cache()
+    composition, _plan = specialize._composition()
+    before = ast.dump(composition.tree, include_attributes=True)
+    for _label, make in (configs if order == "forward" else configs[::-1]):
+        _cold_kernel(make())
+    for label, make in configs:
+        assert specialize.cached_source(make()) == fresh[label], label
+    assert specialize._composition()[0] is composition
+    assert ast.dump(composition.tree, include_attributes=True) == before
+
+
+def test_cold_kernel_leaves_no_cyclic_ast_garbage():
+    """Reference counting alone frees a composition and its folds: none
+    of their nodes waits in a reference cycle for a full collection."""
+    import ast
+    import gc
+
+    config = golden_config("2+2:opt")
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _cold_kernel(config)
+        specialize.clear_cache()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = [type(obj).__name__ for obj in gc.garbage
+                  if isinstance(obj, ast.AST)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == []
