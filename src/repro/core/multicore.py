@@ -1,114 +1,32 @@
 """Lockstep multi-core co-simulation for multi-programmed mixes.
 
-``run_mix`` steps N independent cores — one captured trace each, private
-L1/LVC/ports/window — through a single global cycle loop, with the L2
-tags and the L1/L2 bus shared via :class:`repro.mem.shared.SharedMemory`.
-Each core executes exactly the portable kernel cycle body from
-:meth:`repro.core.processor.Processor._portable_kernel` (same stage
-binds, same activity guards, same per-cycle scalar threading, same
-cycle-skip accounting), so a mix of **one** program is bit-identical to
-a solo run of that program — the anchor the mix tests pin.  With two or
-more programs the only coupling is the shared miss path, which is where
-the interference counters (``mix.*``) come from.
-
-The per-core cycle skip carries over: a core whose next possible event
-is k cycles away sets a ``wake`` cycle and is not stepped (nor its port
-budgets refilled) until then, charging the same one-rob-full-stall-per-
-skipped-cycle the solo kernel charges.  When every live core is asleep
-the global clock jumps to the earliest wake.
+``run_mix`` gives each program its own :class:`Processor` — private
+L1/LVC, ports, window, one captured trace — and attaches every
+processor's miss path to one :class:`repro.mem.shared.SharedMemory`, the
+L2 tags and L1/L2 bus the cores share.  It then steps the cores' kernels
+(:meth:`Processor.cycles`, the specialized kernel by default, the
+portable one under ``REPRO_PORTABLE_KERNEL=1``) on one global clock: at
+each global cycle it resumes, in core order, every core due then.  A
+core is due one cycle after the cycle its last resume yielded, so a
+core whose cycle skip jumped ahead sleeps until its next event, and the
+clock jumps to the earliest due core.  Each kernel is the one a solo run
+drains, under its solo cycle limit, so a mix of **one** program is
+bit-identical to a solo run of that program — the anchor the mix tests
+pin.  With two or more programs the only coupling is the shared miss
+path, which is where the interference counters (``mix.*``) come from.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
-from repro.core.stages import commit as commit_stage
-from repro.core.stages import dispatch as dispatch_stage
-from repro.core.stages import issue as issue_stage
-from repro.core.stages import memory as memory_stage
-from repro.core.stages import writeback as writeback_stage
-from repro.core.stages.state import CoreState, MASK, RING
 from repro.mem.shared import SharedMemory
 from repro.vm.trace import DynInst
-
-
-class _Core:
-    """One program's core plus the kernel-owned per-cycle scalars."""
-
-    __slots__ = (
-        "name", "processor", "state", "insts", "total",
-        "commit_tick", "commit_finish", "writeback_tick",
-        "writeback_finish", "memory_tick", "memory_finish",
-        "issue_tick", "issue_finish", "dispatch_tick", "dispatch_finish",
-        "rob_entries", "rob_size", "ready_fifo", "woken", "sleep",
-        "store_done", "ring", "overflow", "lsq", "lvaq",
-        "l1_simple", "lvc_simple", "have_lvc", "l1_ports", "lvc_ports",
-        "l1_new_cycle", "lvc_new_cycle", "l1_nports", "lvc_nports",
-        "l1_avail", "lvc_avail", "l1_sat", "lvc_sat",
-        "lsq_unserviced", "lvaq_unserviced",
-        "index", "rob_count", "committed", "n_skip",
-        "done", "finish", "wake",
-    )
-
-    def __init__(self, name: str, insts: Sequence[DynInst],
-                 config: MachineConfig):
-        self.name = name
-        self.insts = insts
-        self.total = len(insts)
-        processor = Processor(config)
-        self.processor = processor
-        state = CoreState(processor, insts)
-        self.state = state
-        self.commit_tick, self.commit_finish = commit_stage.bind(state)
-        self.writeback_tick, self.writeback_finish = \
-            writeback_stage.bind(state)
-        self.memory_tick, self.memory_finish = memory_stage.bind(state)
-        self.issue_tick, self.issue_finish = issue_stage.bind(state)
-        self.dispatch_tick, self.dispatch_finish = \
-            dispatch_stage.bind(state)
-
-        self.rob_entries = state.rob_entries
-        self.rob_size = state.rob_size
-        self.ready_fifo = state.ready_fifo
-        self.woken = state.woken
-        self.sleep = state.sleep
-        self.store_done = state.store_done
-        self.ring = state.ring
-        self.overflow = state.overflow
-        self.lsq = processor.lsq
-        self.lvaq = processor.lvaq
-
-        self.l1_simple = state.l1_simple
-        self.lvc_simple = state.lvc_simple
-        self.have_lvc = state.have_lvc
-        l1_ports = state.l1_ports
-        lvc_ports = state.lvc_ports
-        self.l1_ports = l1_ports
-        self.lvc_ports = lvc_ports
-        self.l1_new_cycle = l1_ports.new_cycle
-        self.lvc_new_cycle = (lvc_ports.new_cycle if self.have_lvc
-                              else None)
-        self.l1_nports = l1_ports.ports
-        self.l1_avail = l1_ports._available if self.l1_simple else 0
-        self.l1_sat = 0
-        self.lvc_nports = lvc_ports.ports if self.have_lvc else 0
-        self.lvc_avail = lvc_ports._available if self.lvc_simple else 0
-        self.lvc_sat = 0
-
-        self.lsq_unserviced = self.lsq.unserviced_loads
-        self.lvaq_unserviced = self.lvaq.unserviced_loads
-        self.index = 0
-        self.rob_count = len(self.rob_entries)
-        self.committed = 0
-        self.n_skip = 0
-        self.done = False
-        self.finish = 0
-        self.wake = 0
 
 
 def run_mix(
@@ -121,199 +39,40 @@ def run_mix(
     pairs, one core each.  Returns one :class:`SimResult` per program,
     in input order: ``cycles`` is the cycle its core finished (global
     clock — programs in a mix share time), counters are that core's own
-    plus its ``mix.*`` interference counters.
+    plus its ``mix.*`` interference counters.  A core that exceeds its
+    cycle limit raises :class:`SimulationError` naming its program.
     """
     if not traces:
         raise SimulationError("a mix needs at least one trace")
-    cores = [_Core(name, insts, config) for name, insts in traces]
-    shared = SharedMemory(config.mem, len(cores))
-    for i, core in enumerate(cores):
-        shared.attach(core.processor.hierarchy, i)
+    processors = [Processor(config) for _ in traces]
+    shared = SharedMemory(config.mem, len(processors))
+    for index, processor in enumerate(processors):
+        shared.attach(processor.hierarchy, index)
+    kernels = [processor.cycles(insts)
+               for processor, (_name, insts) in zip(processors, traces)]
 
-    limit = sum(core.total for core in cores) * 80 + 1000 * len(cores)
-    now = 0
-    active = len(cores)
-    exceeded = False
+    results: List[Optional[SimResult]] = [None] * len(kernels)
+    due = [1] * len(kernels)  # a fresh core's first cycle
+    live = list(range(len(kernels)))
+    # One pause for the whole mix: each kernel then finds GC disabled
+    # and leaves it alone, so a core that finishes early cannot turn
+    # it back on under the others.
     gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
+    gc.disable()
     try:
-        while active:
-            now += 1
-            if now > limit:
-                exceeded = True
-                break
-            all_asleep = True
-            min_wake = None
-            for c in cores:
-                if c.done:
-                    continue
-                if now < c.wake:
-                    if min_wake is None or c.wake < min_wake:
-                        min_wake = c.wake
-                    continue
-
-                # ---- new cycle: refill this core's port budgets ------
-                if c.l1_simple:
-                    if c.l1_avail == 0:
-                        c.l1_sat += 1
-                    c.l1_avail = c.l1_nports
-                else:
-                    c.l1_new_cycle()
-                if c.have_lvc:
-                    if c.lvc_simple:
-                        if c.lvc_avail == 0:
-                            c.lvc_sat += 1
-                        c.lvc_avail = c.lvc_nports
-                    else:
-                        c.lvc_new_cycle()
-
-                # ---- the five stages, guards as in the solo kernel ---
-                rob_entries = c.rob_entries
-                if c.rob_count and rob_entries[0].state == 2:
-                    (c.rob_count, c.committed,
-                     c.l1_avail, c.lvc_avail) = c.commit_tick(
-                        now, c.rob_count, c.committed,
-                        c.l1_avail, c.lvc_avail)
-                if c.store_done or c.overflow or c.ring[now & MASK]:
-                    c.writeback_tick(now)
-                if c.lsq_unserviced or c.lvaq_unserviced:
-                    (c.l1_avail, c.lvc_avail,
-                     c.lsq_unserviced, c.lvaq_unserviced) = c.memory_tick(
-                        now, c.l1_avail, c.lvc_avail,
-                        c.lsq_unserviced, c.lvaq_unserviced)
-                if c.sleep or c.ready_fifo or c.woken:
-                    c.issue_tick(now)
-                if c.index < c.total:
-                    (c.index, c.rob_count,
-                     c.lsq_unserviced, c.lvaq_unserviced) = \
-                        c.dispatch_tick(
-                            now, c.index, c.rob_count,
-                            c.lsq_unserviced, c.lvaq_unserviced)
-
-                if c.committed >= c.total:
-                    c.done = True
-                    c.finish = now
-                    active -= 1
-                    continue
-                all_asleep = False
-
-                # ---- per-core cycle skip (solo condition verbatim) ---
-                if (not c.ready_fifo
-                        and not c.woken
-                        and not c.store_done
-                        and (c.index >= c.total
-                             or c.rob_count >= c.rob_size)
-                        and c.lsq_unserviced == 0
-                        and c.lvaq_unserviced == 0
-                        and c.rob_count
-                        and rob_entries[0].state != 2):
-                    target = None
-                    ring = c.ring
-                    for k in range(1, RING):
-                        if ring[(now + k) & MASK]:
-                            target = now + k
-                            break
-                    if c.overflow:
-                        for t in c.overflow:
-                            if t > now and (target is None
-                                            or t < target):
-                                target = t
-                    # Sleeping entries wake at known cycles too (issue
-                    # pops the bucket for each cycle it ticks), so the
-                    # skip may jump straight to the earliest of them.
-                    if c.sleep:
-                        for t in c.sleep:
-                            if t > now and (target is None
-                                            or t < target):
-                                target = t
-                    cap = limit + 1
-                    if target is None or target > cap:
-                        target = cap
-                    if target > now + 1:
-                        if c.index < c.total:
-                            c.n_skip += target - now - 1
-                        c.wake = target
-                        if min_wake is None or target < min_wake:
-                            min_wake = target
-            # When every live core sleeps, jump the global clock to the
-            # earliest wake (each core's skip stalls are already
-            # charged, so the jump is pure wall-clock).
-            if active and all_asleep and min_wake is not None \
-                    and min_wake > now + 1:
-                now = min_wake - 1
+        while live:
+            now = min(due[i] for i in live)
+            for i in live:
+                if due[i] == now:
+                    try:
+                        due[i] = next(kernels[i]) + 1
+                    except StopIteration:
+                        results[i] = processors[i].result(traces[i][0])
+            live = [i for i in live if results[i] is None]
     finally:
+        # Runs every unfinished kernel's finally before an error leaves.
+        for kernel in kernels:
+            kernel.close()
         if gc_was_enabled:
             gc.enable()
-        # Per-core epilogue, mirroring the solo kernel's finally block:
-        # write kernel-owned scalars back, run every finish(), fold the
-        # fast-path shares into the counter dict.
-        for c in cores:
-            processor = c.processor
-            final_now = c.finish if c.done else now
-            processor.now = final_now
-            processor._committed = c.committed
-            c.lsq.unserviced_loads = c.lsq_unserviced
-            c.lvaq.unserviced_loads = c.lvaq_unserviced
-            shares: Dict[str, int] = {}
-            for fin in (c.commit_finish, c.writeback_finish,
-                        c.memory_finish, c.dispatch_finish):
-                for name, value in fin().items():
-                    shares[name] = shares.get(name, 0) + value
-            for name, value in c.issue_finish(final_now).items():
-                shares[name] = shares.get(name, 0) + value
-            l1_busy = shares.pop("_l1_busy", 0)
-            lvc_busy = shares.pop("_lvc_busy", 0)
-            if c.l1_simple:
-                c.l1_ports._available = c.l1_avail
-                c.l1_ports.busy_transactions += l1_busy
-                c.l1_ports.cycles_saturated += c.l1_sat
-            if c.lvc_simple:
-                c.lvc_ports._available = c.lvc_avail
-                c.lvc_ports.busy_transactions += lvc_busy
-                c.lvc_ports.cycles_saturated += c.lvc_sat
-            n_l1_fast = shares.pop("_l1_fast", 0)
-            n_lvc_fast = shares.pop("_lvc_fast", 0)
-            state = c.state
-            if n_l1_fast or n_lvc_fast:
-                counts = state.counts
-                counts_get = counts.get
-                if n_l1_fast:
-                    k = state.l1_ka
-                    counts[k] = counts_get(k, 0) + n_l1_fast
-                    k = state.l1_kh
-                    counts[k] = counts_get(k, 0) + n_l1_fast
-                if n_lvc_fast:
-                    k = state.lvc_ka
-                    counts[k] = counts_get(k, 0) + n_lvc_fast
-                    k = state.lvc_kh
-                    counts[k] = counts_get(k, 0) + n_lvc_fast
-            counters = processor.counters
-            if c.n_skip:
-                shares["stall.rob_full"] = (
-                    shares.get("stall.rob_full", 0) + c.n_skip)
-            for name, value in shares.items():
-                if value:
-                    counters.add(name, value)
-            conflict_stalls = processor.memsys.conflict_stalls()
-            if conflict_stalls:
-                counters.add("ports.conflict_stalls", conflict_stalls)
-            counters.set("cycles", final_now)
-            counters.set("instructions", c.total)
-
-    if exceeded:
-        laggard = min((c for c in cores if not c.done),
-                      key=lambda c: c.committed / max(c.total, 1),
-                      default=None)
-        detail = (f"; slowest program {laggard.name!r} at "
-                  f"{laggard.committed}/{laggard.total} committed"
-                  if laggard is not None else "")
-        raise SimulationError(
-            f"mix cycle limit exceeded ({limit}) with "
-            f"{active}/{len(cores)} programs unfinished{detail}")
-
-    return [
-        SimResult(config.notation(), c.name, c.finish, c.total,
-                  c.processor.counters)
-        for c in cores
-    ]
+    return results

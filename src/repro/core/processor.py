@@ -53,7 +53,10 @@ bodies into one generated function (:mod:`repro.core.stages.compose`)
 and folds the machine's configuration into it
 (:mod:`repro.core.stages.specialize`), and the **portable** kernel
 (``REPRO_PORTABLE_KERNEL=1``) calls the bound closures per tick; tests
-pin them bit-identical.
+pin them bit-identical.  Both are generators that yield once per loop
+iteration (:meth:`Processor.cycles`): :meth:`Processor.run` drains one,
+and :func:`repro.core.multicore.run_mix` steps one per core of a mix on
+a shared clock, so solo runs and mixes share one cycle loop.
 The performance tricks the components inherit from the fused-loop
 ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes,
 the ROB free list, simple port arbiters and ALU pools as local integer
@@ -126,6 +129,10 @@ class Processor:
         self._committed = 0
         self._rob_entries = self.rob.entries
         self._rob_size = config.rob_size
+        # Left by the kernel as it stops: (total, dispatch index,
+        # finish() shares, cycle limit exceeded, skipped rob-full
+        # stalls), read by result().
+        self._outcome = None
 
     # ------------------------------------------------------------------ run
 
@@ -133,9 +140,18 @@ class Processor:
             workload_name: str = "<trace>") -> SimResult:
         """Simulate the dynamic stream to completion and return the result.
 
+        Drains :meth:`cycles` without running any Python code per cycle,
+        then builds the result through :meth:`result`.
+        """
+        deque(self.cycles(insts), maxlen=0)
+        return self.result(workload_name)
+
+    def cycles(self, insts: Sequence[DynInst]):
+        """The kernel for *insts*, as a generator not yet started.
+
         Binds the five stage components to a fresh :class:`CoreState`
-        and steps cycles to completion through one of two composition
-        modes of the *same* stage sources:
+        and picks one of two composition modes of the *same* stage
+        sources:
 
         - the **specialized** kernel (default): the stage tick bodies
           spliced into one generated function
@@ -150,20 +166,29 @@ class Processor:
           reference (``tests/core/test_kernel_compose.py`` and
           ``tests/core/test_kernel_specialize.py`` pin the two
           bit-identical).
+
+        Each resume simulates one cycle, or one cycle skip, and yields
+        the last cycle simulated (``target - 1`` after a skip to
+        ``target``), so the next resume is due one cycle later.  When
+        the generator stops, :meth:`result` reads its outcome.
         """
-        total = len(insts)
-        limit = total * 80 + 1000
         state = CoreState(self, insts)
         if os.environ.get("REPRO_PORTABLE_KERNEL", "") not in ("", "0"):
-            (now, committed_total, index, shares, exceeded,
-             n_skip_rob_full) = self._portable_kernel(state, insts)
-        else:
-            from repro.core.stages.specialize import kernel_for
-            (now, committed_total, index, shares, exceeded,
-             n_skip_rob_full) = kernel_for(self, state)(self, state)
+            return self._portable_kernel(state)
+        from repro.core.stages.specialize import kernel_for
+        return kernel_for(self, state)(self, state)
+
+    def result(self, workload_name: str) -> SimResult:
+        """The stopped kernel's outcome as a :class:`SimResult`.
+
+        Raises :class:`SimulationError` with the livelock report when the
+        kernel stopped at its cycle limit; otherwise folds the kernel's
+        shares and the skip's stalls into the counters.
+        """
+        total, index, shares, exceeded, n_skip_rob_full = self._outcome
         if exceeded:
-            raise SimulationError(
-                self._livelock_report(limit, total, index))
+            report = self._livelock_report(total * 80 + 1000, total, index)
+            raise SimulationError(f"{workload_name}: {report}")
         counters = self.counters
         if n_skip_rob_full:
             shares["stall.rob_full"] = (
@@ -174,23 +199,23 @@ class Processor:
         conflict_stalls = self.memsys.conflict_stalls()
         if conflict_stalls:
             counters.add("ports.conflict_stalls", conflict_stalls)
-        counters.set("cycles", now)
+        counters.set("cycles", self.now)
         counters.set("instructions", total)
         return SimResult(self.config.notation(), workload_name,
-                         now, total, self.counters)
+                         self.now, total, counters)
 
-    def _portable_kernel(self, state: CoreState,
-                         insts: Sequence[DynInst]):
-        """The call-composed kernel loop.
+    def _portable_kernel(self, state: CoreState):
+        """The call-composed kernel loop, a generator like the fused one.
 
         Steps cycles calling each stage's bound tick behind its
         activity guard, with the per-cycle scalars (port budgets, ROB
         occupancy, dispatch index, unserviced-load counts) owned here
-        and threaded through tick arguments/returns.  Returns the
-        kernel scalars and the merged finish() shares; the caller
-        applies them (shared with the fused kernel's epilogue).
+        and threaded through tick arguments/returns.  Yields as
+        :meth:`cycles` describes; on stopping, leaves the kernel
+        scalars and the merged finish() shares in ``self._outcome``
+        for :meth:`result`.
         """
-        total = len(insts)
+        total = state.total
         index = 0
         limit = total * 80 + 1000
         commit_tick, commit_finish = commit_stage.bind(state)
@@ -327,6 +352,7 @@ class Processor:
                             # dispatch stall per skipped cycle.
                             n_skip_rob_full += target - now - 1
                         now = target - 1
+                yield now
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -372,8 +398,8 @@ class Processor:
                     counts[k] = counts_get(k, 0) + n_lvc_fast
                     k = state.lvc_kh
                     counts[k] = counts_get(k, 0) + n_lvc_fast
-        return (now, committed_total, index, shares, exceeded,
-                n_skip_rob_full)
+            self._outcome = (total, index, shares, exceeded,
+                             n_skip_rob_full)
 
     def _livelock_report(self, limit: int, total: int, index: int) -> str:
         """Diagnosable cycle-limit message (satellite of ISSUE 2)."""

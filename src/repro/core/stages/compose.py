@@ -22,11 +22,20 @@ of the names a constant fold may replace, with every node above them.
 :mod:`repro.core.stages.specialize` folds each machine's configuration
 into that tree, touching only those nodes, and compiles the result
 once per machine description: the specialized kernel every default
-``Processor.run`` executes.  The golden equivalence suite pins it to
+``Processor.cycles`` returns.  The golden equivalence suite pins it to
 the seed reference bit-identically, and
 ``tests/core/test_kernel_compose.py`` and
 ``tests/core/test_kernel_specialize.py`` pin it to the portable kernel
 across policies, so the two composition modes cannot drift apart.
+
+Both kernels are generators with one contract: each resume simulates
+one cycle, or one cycle skip, and yields the last cycle simulated
+(``target - 1`` after a skip), and the ``finally`` block leaves the
+kernel's outcome in ``self._outcome`` for :meth:`Processor.result`.
+A solo run drains the generator; a multi-programmed mix
+(:func:`repro.core.multicore.run_mix`) resumes one per core on a shared
+clock.  The yield costs a few nanoseconds per cycle, so the composer
+emits the same kernel for both.
 
 Splicing rules the stage modules must follow (enforced here, loudly):
 
@@ -290,8 +299,8 @@ def compose_kernel(names: FrozenSet[str]) -> Composition:
 
 # The kernel skeleton.  Bare ``PROLOGUE``, ``TICK_<stage>`` and
 # ``FINISHES`` statements are the slots the stage parts fill; the rest mirrors
-# Processor._portable_kernel line for line (the cross-kernel equivalence
-# test keeps them honest).
+# Processor._portable_kernel line for line, its ``yield`` and outcome
+# hand-off included (the cross-kernel equivalence tests keep them honest).
 _SKELETON = """\
 def _fused_run(self, state):
     insts = state.insts
@@ -387,6 +396,7 @@ def _fused_run(self, state):
                     if index < total:
                         n_skip_rob_full += target - now - 1
                     now = target - 1
+            yield now
     finally:
         if _gc_was_enabled:
             gc.enable()
@@ -425,6 +435,5 @@ def _fused_run(self, state):
                 _counts[_k] = _counts_get(_k, 0) + _n_lvc_fast
                 _k = state.lvc_kh
                 _counts[_k] = _counts_get(_k, 0) + _n_lvc_fast
-    return (now, committed_total, index, _shares, exceeded,
-            n_skip_rob_full)
+        self._outcome = (total, index, _shares, exceeded, n_skip_rob_full)
 """

@@ -1,10 +1,15 @@
 """Shared second-level memory for multi-programmed mixes.
 
 In a mix run (:mod:`repro.core.multicore`) each program gets its own
-core — private L1/LVC, ports, MSHRs, counters — but the L2 tags and the
-L1/L2 bus are one physical resource.  :class:`SharedMemory` models both,
-replacing each private hierarchy's miss path via the ``shared`` hook in
-:meth:`repro.mem.hierarchy.MemoryHierarchy._miss`.
+core — a whole :class:`~repro.core.processor.Processor` with private
+L1/LVC, ports, MSHRs and counters — but the L2 tags and the L1/L2 bus
+are one physical resource.  :class:`SharedMemory` models both, replacing
+each private hierarchy's miss path via the ``shared`` hook in
+:meth:`repro.mem.hierarchy.MemoryHierarchy._miss`.  It is the only state
+the cores share: ``run_mix`` resumes each core's unmodified kernel in
+core order once per global cycle, so within a cycle misses reach this
+model in core order, and with one core attached every call is the one
+the solo run makes.
 
 Accounting is **requester-attributed**: every transaction bumps the
 counters of the core that issued it, under the same names the private
