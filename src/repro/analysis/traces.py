@@ -14,13 +14,17 @@ These reproduce the *measurements* the paper's motivation rests on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
+from repro.isa.opcodes import FuClass
 from repro.stats.histogram import Histogram
-from repro.vm.trace import DynInst
+from repro.vm.trace import Stream
+
+_LOAD = int(FuClass.LOAD)
+_STORE = int(FuClass.STORE)
 
 
-def reuse_distance_profile(insts: Iterable[DynInst],
+def reuse_distance_profile(stream: Stream,
                            local_only: bool = True) -> Histogram:
     """Instruction distance from each load back to the last store of the
     same word.
@@ -30,13 +34,14 @@ def reuse_distance_profile(insts: Iterable[DynInst],
     """
     last_store_at: Dict[int, int] = {}
     profile = Histogram()
-    for index, inst in enumerate(insts):
-        if not inst.is_mem:
+    for index, (fu, addr, is_local) in enumerate(
+            zip(stream.fu, stream.addr, stream.is_local)):
+        if fu != _LOAD and fu != _STORE:
             continue
-        if local_only and not inst.is_local:
+        if local_only and not is_local:
             continue
-        word = inst.addr >> 2
-        if inst.is_store:
+        word = addr >> 2
+        if fu == _STORE:
             last_store_at[word] = index
         else:
             stored = last_store_at.get(word)
@@ -45,22 +50,22 @@ def reuse_distance_profile(insts: Iterable[DynInst],
     return profile
 
 
-def working_set_words(insts: Iterable[DynInst]) -> Tuple[int, int]:
+def working_set_words(stream: Stream) -> Tuple[int, int]:
     """(local, non-local) distinct words touched by the trace."""
     local = set()
     other = set()
-    for inst in insts:
-        if not inst.is_mem:
+    for fu, addr, is_local in zip(stream.fu, stream.addr, stream.is_local):
+        if fu != _LOAD and fu != _STORE:
             continue
-        word = inst.addr >> 2
-        if inst.is_local:
+        word = addr >> 2
+        if is_local:
             local.add(word)
         else:
             other.add(word)
     return len(local), len(other)
 
 
-def burstiness_profile(insts: Iterable[DynInst]) -> Histogram:
+def burstiness_profile(stream: Stream) -> Histogram:
     """Lengths of consecutive runs of local memory references.
 
     A run is a maximal sequence of local loads/stores not interrupted by
@@ -70,10 +75,10 @@ def burstiness_profile(insts: Iterable[DynInst]) -> Histogram:
     """
     profile = Histogram()
     run = 0
-    for inst in insts:
-        if not inst.is_mem:
+    for fu, is_local in zip(stream.fu, stream.is_local):
+        if fu != _LOAD and fu != _STORE:
             continue
-        if inst.is_local:
+        if is_local:
             run += 1
         else:
             if run:
@@ -120,23 +125,22 @@ class ClassificationReport:
         )
 
 
-def classification_report(insts: Iterable[DynInst]) -> ClassificationReport:
+def classification_report(stream: Stream) -> ClassificationReport:
     """Audit the compile-time classification against dynamic addresses."""
     report = ClassificationReport()
-    for inst in insts:
-        if not inst.is_mem:
+    for fu, hint, is_local in zip(stream.fu, stream.hint, stream.is_local):
+        if fu != _LOAD and fu != _STORE:
             continue
-        hint: Optional[bool] = inst.local_hint
         if hint is None:
             report.ambiguous += 1
-            if inst.is_local:
+            if is_local:
                 report.ambiguous_actually_local += 1
         elif hint:
             report.hinted_local += 1
-            if not inst.is_local:
+            if not is_local:
                 report.hint_wrong += 1
         else:
             report.hinted_nonlocal += 1
-            if inst.is_local:
+            if is_local:
                 report.hint_wrong += 1
     return report

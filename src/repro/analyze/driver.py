@@ -23,7 +23,11 @@ from repro.analyze.hints import check_program_hints
 from repro.analyze.lints import lint_function
 from repro.analyze.report import AnalysisReport, Diagnostic
 from repro.analyze.stackcheck import check_program
+from repro.isa.opcodes import FuClass
 from repro.isa.program import Program
+
+_LOAD = int(FuClass.LOAD)
+_STORE = int(FuClass.STORE)
 
 
 def analyze_program(program: Program, ir_map=None, trace=None,
@@ -75,21 +79,23 @@ def _dynamic_crosscheck(report: AnalysisReport, trace) -> None:
     partitioner = StreamPartitioner(decoupled=True)
     unsound_pcs = {}
     mem = 0
-    for inst in trace.insts:
-        if not inst.is_mem:
+    stream = trace.insts
+    for index, (fu, hint, is_local, pc) in enumerate(zip(
+            stream.fu, stream.hint, stream.is_local, stream.pc)):
+        if fu != _LOAD and fu != _STORE:
             continue
         mem += 1
-        hint = inst.local_hint
-        if hint is not None and hint != inst.is_local and \
-                inst.pc not in unsound_pcs:
-            unsound_pcs[inst.pc] = inst
-        partitioner.steer(inst)
-    for pc, inst in sorted(unsound_pcs.items()):
-        region = "stack" if inst.is_local else "non-stack"
+        if hint is None:
+            partitioner.resolve(pc, is_local)
+        elif hint != is_local and pc not in unsound_pcs:
+            unsound_pcs[pc] = index
+    for pc, index in sorted(unsound_pcs.items()):
+        region = "stack" if stream.is_local[index] else "non-stack"
         report.add(Diagnostic(
             "error", "hint.dynamic-unsound", None, pc,
-            f"local_hint={inst.local_hint} but the access at pc {pc} "
-            f"touched a {region} address ({inst.addr:#x}) at run time"))
+            f"local_hint={stream.hint[index]} but the access at pc {pc} "
+            f"touched a {region} address ({stream.addr[index]:#x}) at "
+            f"run time"))
     predictor = partitioner.predictor
     report.metrics.update({
         "dynamic.mem_refs": mem,

@@ -329,22 +329,22 @@ def cmd_trace(args) -> int:
     if args.verb == "replay":
         from repro.perf.golden import diff_results
         from repro.trace.capture import TraceJob, build_capture
-        from repro.trace.replay import load_trace, replay
+        from repro.trace.replay import replay_insts
 
-        trace = load_trace(args.path)
-        print(f"{trace.name}: {len(trace)} dynamic instructions")
+        # The replay_fast path: the .pdt sidecar next to the trace when
+        # it is present and matches, else tables derived from the trace.
+        stream, name = replay_insts(args.path)
+        print(f"{name}: {len(stream)} dynamic instructions")
         failures = 0
         for text in (args.config or ["2+0", "2+2:opt"]):
-            config = _parse_config(text)
-            result = replay(trace, config)
+            result = Processor(_parse_config(text)).run(stream, name)
             print(f"  ({text:8s}) IPC {result.ipc:6.3f}   "
                   f"cycles {result.cycles}")
             if args.check:
-                job = TraceJob(trace.name, scale=args.scale,
-                               seed=args.seed)
+                job = TraceJob(name, scale=args.scale, seed=args.seed)
                 direct = Processor(_parse_config(text)).run(
-                    build_capture(job).insts, trace.name)
-                mismatches = diff_results(trace.name, text, direct, result)
+                    build_capture(job).insts, name)
+                mismatches = diff_results(name, text, direct, result)
                 for mismatch in mismatches:
                     print(f"    MISMATCH {mismatch!r}", file=sys.stderr)
                 failures += len(mismatches)

@@ -14,9 +14,7 @@ fixed penalty added before the access may touch its (correct) cache.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.vm.trace import DynInst
+from typing import Callable, Dict, Tuple
 
 
 class RegionPredictor:
@@ -53,29 +51,45 @@ class StreamPartitioner:
         self.use_predictor = use_predictor
         self.predictor = RegionPredictor()
 
-    def steer(self, inst: DynInst) -> Tuple[bool, bool]:
-        """Classify one reference.
+    def steer(self, inst) -> Tuple[bool, bool]:
+        """Classify one reference given as an instruction record.
 
         Returns ``(to_lvaq, mispredicted)``.  With decoupling disabled,
-        everything goes to the LSQ.  The hardware never sees ``is_local``
-        directly; ambiguous references consult the predictor, which is then
-        trained with the resolved region — a misprediction reports True so
-        the pipeline can charge the recovery penalty.
+        everything goes to the LSQ; a hinted reference goes where its
+        hint says; an ambiguous one is left to :meth:`resolve`.
         """
         if not self.decoupled:
             return False, False
         hint = inst.local_hint
         if hint is not None:
             return hint, False
+        return self.resolve(inst.pc, inst.is_local)
+
+    def resolve(self, pc: int, is_local: bool) -> Tuple[bool, bool]:
+        """Classify one ambiguous reference (no compile-time hint).
+
+        Returns ``(to_lvaq, mispredicted)``.  The hardware never sees
+        ``is_local`` directly: the predictor guesses, then is trained
+        with the resolved region — a misprediction reports True so the
+        pipeline can charge the recovery penalty.
+        """
         if not self.use_predictor:
             # No predictor: ambiguous references conservatively use the LSQ.
             return False, False
         predictor = self.predictor
         predictor.predictions += 1
-        predicted = predictor.predict(inst.pc)
-        actual = inst.is_local
-        predictor.update(inst.pc, actual)
-        if predicted != actual:
+        predicted = predictor.predict(pc)
+        predictor.update(pc, is_local)
+        if predicted != is_local:
             predictor.mispredictions += 1
-            return actual, True
+            return is_local, True
         return predicted, False
+
+    def resolver(self, stream) -> Callable[[int], Tuple[bool, bool]]:
+        """:meth:`resolve` for the ambiguous reference at index ``i`` of
+        *stream*, reading its ``pc`` and ``is_local`` columns (the
+        kernel's dispatch stage steers through this)."""
+        pcs = stream.pc
+        is_local = stream.is_local
+        resolve = self.resolve
+        return lambda i: resolve(pcs[i], is_local[i])

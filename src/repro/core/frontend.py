@@ -11,8 +11,9 @@ realistic frontend does not change which instructions execute, only **when
 dispatch may deliver them**.  Prediction outcomes and I-cache probes are
 therefore timing-independent: they depend only on the in-order committed
 stream, never on the out-of-order timing around it.  :meth:`prepare`
-exploits this by walking the trace once, before simulation, and emitting a
-sparse gate list the dispatch stage consults in O(1) per instruction:
+exploits this by walking the stream's ``pc`` and ``fu`` columns once,
+before simulation, and emitting a sparse gate list the dispatch stage
+consults in O(1) per instruction:
 
 ``(index, code)`` with code bit 0
     an I-cache miss: dispatch stalls ``icache_miss_latency`` cycles
@@ -33,7 +34,7 @@ Policies (see :data:`FRONTEND_POLICIES`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.opcodes import FuClass
@@ -108,7 +109,7 @@ class PerfectFrontend:
         self.mispredicts = 0
         self.icache_misses = 0
 
-    def prepare(self, insts: Sequence) -> Optional[List[Tuple[int, int]]]:
+    def prepare(self, stream) -> Optional[List[Tuple[int, int]]]:
         """No gates: dispatch runs at full width every cycle."""
         return None
 
@@ -116,13 +117,14 @@ class PerfectFrontend:
 class GshareFrontend(PerfectFrontend):
     """gshare branch prediction + a direct-mapped finite I-cache.
 
-    One pass over the committed trace (see the module docstring for why a
-    pre-pass is exact here).  Branch direction ground truth is recovered
-    from the trace itself: a branch fell through iff the next committed
-    instruction is its static successor.
+    One pass over the committed stream's ``pc`` and ``fu`` columns (see
+    the module docstring for why a pre-pass is exact here).  Branch
+    direction ground truth is recovered from the stream itself: a branch
+    fell through iff the next committed instruction is its static
+    successor.
     """
 
-    def prepare(self, insts: Sequence) -> List[Tuple[int, int]]:
+    def prepare(self, stream) -> List[Tuple[int, int]]:
         cfg = self.config
         table_size = 1 << cfg.gshare_table_bits
         tmask = table_size - 1
@@ -135,10 +137,11 @@ class GshareFrontend(PerfectFrontend):
         gates: List[Tuple[int, int]] = []
         mispredicts = 0
         icache_misses = 0
-        n = len(insts)
+        pcs = stream.pc
+        fus = stream.fu
+        n = len(pcs)
         for i in range(n):
-            inst = insts[i]
-            pc = inst.pc
+            pc = pcs[i]
             code = 0
             line = (pc << 2) >> line_shift  # 4-byte instruction slots
             s = line & set_mask
@@ -146,10 +149,10 @@ class GshareFrontend(PerfectFrontend):
                 tags[s] = line
                 icache_misses += 1
                 code = GATE_IMISS
-            if inst.fu == _BRANCH:
+            if fus[i] == _BRANCH:
                 idx = (pc ^ history) & tmask
                 counter = counters[idx]
-                taken = i + 1 < n and insts[i + 1].pc != pc + 1
+                taken = i + 1 < n and pcs[i + 1] != pc + 1
                 if (counter >= 2) != taken:
                     mispredicts += 1
                     code |= GATE_REDIRECT

@@ -26,11 +26,11 @@ from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
 from repro.mem.shared import SharedMemory
-from repro.vm.trace import DynInst
+from repro.vm.trace import Stream
 
 
 def run_mix(
-    traces: Sequence[Tuple[str, Sequence[DynInst]]],
+    traces: Sequence[Tuple[str, Stream]],
     config: MachineConfig,
 ) -> List[SimResult]:
     """Co-schedule *traces* on independent cores sharing L2 + bus.
@@ -48,8 +48,8 @@ def run_mix(
     shared = SharedMemory(config.mem, len(processors))
     for index, processor in enumerate(processors):
         shared.attach(processor.hierarchy, index)
-    kernels = [processor.cycles(insts)
-               for processor, (_name, insts) in zip(processors, traces)]
+    kernels = [processor.cycles(stream)
+               for processor, (_name, stream) in zip(processors, traces)]
 
     results: List[Optional[SimResult]] = [None] * len(kernels)
     due = [1] * len(kernels)  # a fresh core's first cycle

@@ -25,6 +25,11 @@ Stage order within a cycle (processed so results flow forward):
    memory reference to the LSQ or LVAQ (stream partitioning), gated by
    the frontend policy.
 
+The committed stream is a :class:`~repro.vm.trace.Stream`: one list per
+field.  Every stage reads its columns by instruction index — a ROB
+entry's ``inst`` is that index — so no per-instruction object exists on
+the simulation path.
+
 Because the simulated stream is the committed dynamic stream, frontend
 effects (branch mispredicts, I-cache misses) are timing-independent
 given the stream: the ``gshare`` policy pre-computes them once and the
@@ -71,7 +76,7 @@ from __future__ import annotations
 import gc
 import os
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass, LATENCY_BY_INT
@@ -90,7 +95,7 @@ from repro.pipeline.fu import FuPool
 from repro.pipeline.memqueue import INF_SEQ
 from repro.pipeline.rob import Rob, RobEntry
 from repro.stats.counters import CounterSet
-from repro.vm.trace import DynInst
+from repro.vm.trace import Stream
 
 
 class Processor:
@@ -136,18 +141,19 @@ class Processor:
 
     # ------------------------------------------------------------------ run
 
-    def run(self, insts: Sequence[DynInst],
+    def run(self, stream: Stream,
             workload_name: str = "<trace>") -> SimResult:
-        """Simulate the dynamic stream to completion and return the result.
+        """Simulate the committed stream to completion and return the
+        result.
 
         Drains :meth:`cycles` without running any Python code per cycle,
         then builds the result through :meth:`result`.
         """
-        deque(self.cycles(insts), maxlen=0)
+        deque(self.cycles(stream), maxlen=0)
         return self.result(workload_name)
 
-    def cycles(self, insts: Sequence[DynInst]):
-        """The kernel for *insts*, as a generator not yet started.
+    def cycles(self, stream: Stream):
+        """The kernel for *stream*, as a generator not yet started.
 
         Binds the five stage components to a fresh :class:`CoreState`
         and picks one of two composition modes of the *same* stage
@@ -172,7 +178,7 @@ class Processor:
         ``target``), so the next resume is due one cycle later.  When
         the generator stops, :meth:`result` reads its outcome.
         """
-        state = CoreState(self, insts)
+        state = CoreState(self, stream)
         if os.environ.get("REPRO_PORTABLE_KERNEL", "") not in ("", "0"):
             return self._portable_kernel(state)
         from repro.core.stages.specialize import kernel_for

@@ -6,7 +6,8 @@ ROB head.  A store performs its cache write at commit — consuming a port
 that cannot get a port stalls the whole commit group
 (``stall.store_port``).  Retired memory ops are dropped from their queue
 head, and this stage is the sole writer of the queues' ``base`` /
-``_ns_head`` compaction state.
+``_ns_head`` compaction state.  A retiring entry's destination comes
+from the stream's ``dst_of`` column at its ``inst`` index.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
@@ -28,6 +29,7 @@ from repro.core.stages.state import CoreState
 def bind(state: CoreState):
     """Close over the commit working set; returns ``(tick, finish)``."""
     width = state.width
+    dst_of = state.dst_of
     combining = state.combining
     combine_window = combining > 1
     rob_entries = state.rob_entries
@@ -80,7 +82,7 @@ def bind(state: CoreState):
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
     def tick(now, rob_count, committed_total, l1_avail, lvc_avail,
-             width=width, combining=combining,
+             width=width, dst_of=dst_of, combining=combining,
              combine_window=combine_window, rob_entries=rob_entries,
              rob_popleft=rob_popleft, producer=producer,
              free_entries=free_entries, lsq=lsq, lvaq=lvaq,
@@ -188,7 +190,7 @@ def bind(state: CoreState):
             rob_popleft()
             rob_count -= 1
             entry.state = 3
-            dst = entry.inst.dst
+            dst = dst_of[entry.inst]
             # producer[] is only ever written for dst > 0 (dispatch),
             # so 0 cannot match.
             if dst > 0 and producer[dst] is entry:

@@ -303,7 +303,6 @@ def compose_kernel(names: FrozenSet[str]) -> Composition:
 # hand-off included (the cross-kernel equivalence tests keep them honest).
 _SKELETON = """\
 def _fused_run(self, state):
-    insts = state.insts
     PROLOGUE
     # ---- kernel-owned scalars ----------------------------------------
     index = 0

@@ -4,7 +4,10 @@ Dispatches up to ``issue_width`` instructions per cycle from the dynamic
 stream into the ROB, steering each memory reference to the LSQ or LVAQ
 (local-hint shortcut, then the stream partitioner), running the
 source-operand scoreboard check, and resolving store addresses early
-when the base register is already available (STA/STD split).
+when the base register is already available (STA/STD split).  It reads
+the stream's columns at the dispatch index (``fu_of[index]``, ...) and
+stores that index in the ROB entry's ``inst``: later stages read the
+columns through it.
 
 The frontend policy gates this stage.  The ``perfect`` policy imposes
 nothing — the inner tick runs with the fence at end-of-stream, exactly
@@ -44,7 +47,14 @@ _STORE = int(FuClass.STORE)
 def bind(state: CoreState):
     """Close over the dispatch working set; returns ``(tick, finish)``."""
     processor = state.processor
-    insts = state.insts
+    fu_of = state.fu_of
+    dst_of = state.dst_of
+    srcs_of = state.srcs_of
+    addr_of = state.addr_of
+    hint_of = state.hint_of
+    spb_of = state.spb_of
+    frame_of = state.frame_of
+    offset_of = state.offset_of
     total = state.total
     width = state.width
     rob_size = state.rob_size
@@ -96,7 +106,7 @@ def bind(state: CoreState):
     # end-of-stream — exactly the seed machine, for one predictable
     # branch per tick.  See the module docstring for the gshare model.
     frontend = processor.frontend
-    gates = frontend.prepare(insts)
+    gates = frontend.prepare(state.stream)
     fcfg = state.frontend_config
     icache_miss_latency = fcfg.icache_miss_latency
     redirect_penalty = fcfg.redirect_penalty
@@ -113,7 +123,10 @@ def bind(state: CoreState):
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
     def tick(now, index, rob_count, lsq_unserviced, lvaq_unserviced,
-             total=total, insts=insts, width=width, rob_size=rob_size,
+             fu_of=fu_of, dst_of=dst_of, srcs_of=srcs_of,
+             addr_of=addr_of, hint_of=hint_of, spb_of=spb_of,
+             frame_of=frame_of, offset_of=offset_of,
+             total=total, width=width, rob_size=rob_size,
              decoupled=decoupled, mispredict_penalty=mispredict_penalty,
              load_fu=load_fu, store_fu=store_fu,
              new_rob_entry=new_rob_entry, new_mem_entry=new_mem_entry,
@@ -182,18 +195,17 @@ def bind(state: CoreState):
                 if rob_count >= rob_size:
                     n_stall_rob_full += 1
                     break
-                inst = insts[index]
-                fu = inst.fu
+                fu = fu_of[index]
                 is_mem = fu == load_fu or fu == store_fu
                 to_lvaq = False
                 mispredicted = False
                 if is_mem:
                     if decoupled:
-                        hint = inst.local_hint
+                        hint = hint_of[index]
                         if hint is not None:
                             to_lvaq = hint
                         else:
-                            to_lvaq, mispredicted = steer(inst)
+                            to_lvaq, mispredicted = steer(index)
                     if to_lvaq:
                         if len(lvaq_entries) >= lvaq_size:
                             n_stall_lvaq_full += 1
@@ -204,18 +216,18 @@ def bind(state: CoreState):
                 if free_entries:
                     entry = free_entries.pop()
                     entry.seq = seq
-                    entry.inst = inst
+                    entry.inst = index
                     entry.state = 0
                     entry.mem = None
                 else:
-                    entry = new_rob_entry(seq, inst)
+                    entry = new_rob_entry(seq, index)
                 seq += 1
                 # Source-operand scoreboard check, unrolled for the
                 # 0/1/2-operand cases (every ISA instruction; the loop tail
                 # keeps arbitrary tuples exact).  reg <= 0 is $zero /
                 # absent: always ready.
                 pending = 0
-                srcs = inst.srcs
+                srcs = srcs_of[index]
                 n_srcs = len(srcs)
                 if n_srcs:
                     reg = srcs[0]
@@ -243,13 +255,13 @@ def bind(state: CoreState):
                                     pending += 1
                 entry.pending = pending
                 entry.earliest = earliest
-                dst = inst.dst
+                dst = dst_of[index]
                 if dst > 0:
                     producer[dst] = entry
                 rob_append(entry)  # size checked above
                 rob_count += 1
                 if is_mem:
-                    sp_based = inst.sp_based
+                    sp_based = spb_of[index]
                     is_store = fu == store_fu
                     # MemQueueEntry.__init__ spelled out (the constructor
                     # frame is measurable at this call rate).
@@ -262,7 +274,7 @@ def bind(state: CoreState):
                     qe.dispatch_time = now
                     qe.serviced = False
                     qe.sp_based = sp_based
-                    qe.frame_key = ((inst.frame_id, inst.offset)
+                    qe.frame_key = ((frame_of[index], offset_of[index])
                                     if sp_based else None)
                     qe.use_lvc = to_lvaq
                     qe.penalty = (mispredict_penalty
@@ -304,14 +316,13 @@ def bind(state: CoreState):
                         # soon as its base register is available — it never
                         # waits for the store *data*, so it stops blocking
                         # younger loads' disambiguation almost immediately.
-                        srcs = inst.srcs
                         base_reg = srcs[0] if srcs else 0
                         prod = (producer[base_reg]
                                 if base_reg > 0 else None)
                         if prod is None or prod.state == 2:
                             qe.addr_known_time = earliest
-                            word = qe.word = inst.addr >> 2
-                            qe.line = inst.addr >> 5
+                            word = qe.word = addr_of[index] >> 2
+                            qe.line = word >> 3  # addr >> 5
                             if to_lvaq:
                                 b2 = lvaq_words.get(word)
                                 if b2 is None:

@@ -6,7 +6,9 @@ entries woken out of order by writeback — plus a sleep dict for entries
 whose operands are complete but not yet forwardable.  Memory ops perform
 address generation here (stores may already have resolved theirs via the
 STA split); stores then go to the dedicated store-done lane, everything
-else schedules its completion on the calendar.
+else schedules its completion on the calendar.  An entry's functional
+unit and address come from the stream's ``fu_of``/``addr_of`` columns at
+its ``inst`` index.
 
 The pipelined ALU pools refill at the top of the tick rather than once
 per cycle: nothing but this stage consumes them, so a skipped tick's
@@ -35,6 +37,8 @@ from repro.pipeline.fu import FU_KIND
 def bind(state: CoreState):
     """Close over the issue working set; returns ``(tick, finish)``."""
     width = state.width
+    fu_of = state.fu_of
+    addr_of = state.addr_of
     fu_kind = FU_KIND
     latency = LATENCY_BY_INT
     ring = state.ring
@@ -72,7 +76,8 @@ def bind(state: CoreState):
     # call time, so every use inside the hot loops is a plain local
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
-    def tick(now, width=width, fu_kind=fu_kind, latency=latency,
+    def tick(now, width=width, fu_of=fu_of, addr_of=addr_of,
+             fu_kind=fu_kind, latency=latency,
              ring=ring, ready_fifo=ready_fifo, fifo_popleft=fifo_popleft,
              woken=woken, sleep=sleep, sleep_get=sleep_get,
              sleep_pop=sleep_pop, store_done_append=store_done_append,
@@ -114,8 +119,7 @@ def bind(state: CoreState):
                     else:
                         b2.append(entry)
                     continue
-                inst = entry.inst
-                fu = inst.fu
+                fu = fu_of[entry.inst]
                 kind = fu_kind[fu]
                 if kind == 0:
                     if ialu_left:
@@ -147,8 +151,8 @@ def bind(state: CoreState):
                 if qe is not None:
                     if qe.addr_known_time < 0:
                         qe.addr_known_time = now + 1
-                        word = qe.word = inst.addr >> 2
-                        qe.line = inst.addr >> 5
+                        word = qe.word = addr_of[entry.inst] >> 2
+                        qe.line = word >> 3  # addr >> 5
                         if qe.is_store:
                             if qe.use_lvc:
                                 b2 = lvaq_words.get(word)
@@ -230,8 +234,7 @@ def bind(state: CoreState):
                     else:
                         b2.append(entry)
                     continue
-                inst = entry.inst
-                fu = inst.fu
+                fu = fu_of[entry.inst]
                 kind = fu_kind[fu]
                 if kind == 0:
                     if ialu_left:
@@ -271,8 +274,8 @@ def bind(state: CoreState):
                     # (stores may already have resolved theirs).
                     if qe.addr_known_time < 0:
                         qe.addr_known_time = now + 1
-                        word = qe.word = inst.addr >> 2
-                        qe.line = inst.addr >> 5
+                        word = qe.word = addr_of[entry.inst] >> 2
+                        qe.line = word >> 3  # addr >> 5
                         if qe.is_store:
                             if qe.use_lvc:
                                 b2 = lvaq_words.get(word)

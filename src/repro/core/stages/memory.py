@@ -38,6 +38,7 @@ def bind(state: CoreState):
     combining = state.combining
     combine_window = combining > 1
     inf_seq = INF_SEQ
+    addr_of = state.addr_of
     ring = state.ring
     overflow = state.overflow
 
@@ -108,7 +109,7 @@ def bind(state: CoreState):
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
     def tick(now, l1_avail, lvc_avail, lsq_unserviced, lvaq_unserviced,
-             decoupled=decoupled, fast_fwd=fast_fwd,
+             addr_of=addr_of, decoupled=decoupled, fast_fwd=fast_fwd,
              combining=combining, combine_window=combine_window,
              inf_seq=inf_seq, ring=ring, overflow=overflow,
              lsq=lsq, lvaq=lvaq, lvaq_entries=lvaq_entries,
@@ -423,7 +424,7 @@ def bind(state: CoreState):
                                 lvc_busy += 1
                             elif not lvc_try_take(
                                     1,
-                                    line=src_rob.inst.addr >> 5,
+                                    line=addr_of[src_rob.inst] >> 5,
                                     is_store=False):
                                 n_stall_lvaq_port += 1
                                 ports_exhausted = True

@@ -481,5 +481,6 @@ def emit_source(config) -> str:
     """
     from repro.core.processor import Processor
     from repro.core.stages.state import CoreState
+    from repro.vm.trace import Stream
     processor = Processor(config)
-    return specialize_source(processor, CoreState(processor, []))
+    return specialize_source(processor, CoreState(processor, Stream()))

@@ -1,10 +1,11 @@
 """Shared per-run state for the staged micro-architecture kernel.
 
 One :class:`CoreState` is built per ``Processor.run`` call.  It gathers
-every structure the stage components share — the window (ROB, issue
-lanes, completion calendar), the memory system, the functional units,
-and the configuration scalars — so each stage's ``bind`` factory reads
-its working set from one place and closes over it.
+every structure the stage components share — the committed stream's
+columns, the window (ROB, issue lanes, completion calendar), the memory
+system, the functional units, and the configuration scalars — so each
+stage's ``bind`` factory reads its working set from one place and closes
+over it.
 
 The containers referenced here are *the* canonical objects: stages
 mutate them in place (the calendar ring, the issue lanes, the memory
@@ -17,7 +18,7 @@ kernel loop and threaded through tick arguments/returns instead — see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.isa.opcodes import LATENCY_BY_INT
 from repro.mem.ports import PortArbiter
@@ -34,11 +35,22 @@ assert max(LATENCY_BY_INT) < RING
 class CoreState:
     """Everything the stage components share for one run."""
 
-    def __init__(self, processor, insts: Sequence):
+    def __init__(self, processor, stream):
         config = processor.config
         self.processor = processor
-        self.insts = insts
-        self.total = len(insts)
+        # -- the committed stream (repro.vm.trace.Stream) --------------
+        # Stages read the columns by instruction index; a ROB entry's
+        # ``inst`` is that index.
+        self.stream = stream
+        self.total = len(stream)
+        self.fu_of = stream.fu
+        self.dst_of = stream.dst
+        self.srcs_of = stream.srcs
+        self.addr_of = stream.addr
+        self.hint_of = stream.hint
+        self.spb_of = stream.sp_based
+        self.frame_of = stream.frame
+        self.offset_of = stream.offset
 
         # -- configuration scalars ------------------------------------
         self.width = config.issue_width
@@ -67,7 +79,7 @@ class CoreState:
 
         # -- execution resources --------------------------------------
         self.fus = processor.fus
-        self.steer = processor.partitioner.steer
+        self.steer = processor.partitioner.resolver(stream)
 
         # -- frontend --------------------------------------------------
         self.frontend = processor.frontend

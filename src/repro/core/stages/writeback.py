@@ -6,7 +6,9 @@ completing entries COMPLETED, and decrements each consumer's pending
 count — waking consumers whose operands just became complete into the
 issue stage's heap lane.  The STA split lives here too: a store whose
 *base register* just arrived resolves its address immediately, off the
-issue path.
+issue path.  Destinations, sources and addresses come from the stream's
+``dst_of``/``srcs_of``/``addr_of`` columns at each entry's ``inst``
+index.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
@@ -27,6 +29,9 @@ from repro.core.stages.state import MASK, CoreState
 
 def bind(state: CoreState):
     """Close over the writeback working set; returns ``(tick, finish)``."""
+    dst_of = state.dst_of
+    srcs_of = state.srcs_of
+    addr_of = state.addr_of
     ring = state.ring
     overflow = state.overflow
     store_done = state.store_done
@@ -41,7 +46,8 @@ def bind(state: CoreState):
     # call time, so every use inside the hot loops is a plain local
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
-    def tick(now, ring=ring, overflow=overflow, store_done=store_done,
+    def tick(now, dst_of=dst_of, srcs_of=srcs_of, addr_of=addr_of,
+             ring=ring, overflow=overflow, store_done=store_done,
              woken=woken, lsq_words=lsq_words, lvaq_words=lvaq_words):
         if store_done:
             # Stores issued last cycle: address and data captured, ready
@@ -65,22 +71,21 @@ def bind(state: CoreState):
                 consumers = entry.consumers
                 if not consumers:
                     continue
-                produced = entry.inst.dst
+                produced = dst_of[entry.inst]
                 for consumer in consumers:
                     pending = consumer.pending - 1
                     consumer.pending = pending
                     qe = consumer.mem
                     if (qe is not None and qe.is_store
                             and qe.addr_known_time < 0):
-                        srcs = consumer.inst.srcs
+                        srcs = srcs_of[consumer.inst]
                         if srcs and srcs[0] == produced:
                             # STA split: the store's address computes as
                             # soon as its base register arrives, off the
                             # issue path.
-                            inst = consumer.inst
                             qe.addr_known_time = now + 1
-                            word = qe.word = inst.addr >> 2
-                            qe.line = inst.addr >> 5
+                            word = qe.word = addr_of[consumer.inst] >> 2
+                            qe.line = word >> 3  # addr >> 5
                             if qe.use_lvc:
                                 b2 = lvaq_words.get(word)
                                 if b2 is None:

@@ -17,12 +17,16 @@ from repro.experiments.common import (
     run_sim,
     select_programs,
 )
+from repro.isa.opcodes import FuClass
 from repro.mem.cache import Cache, CacheGeometry
 from repro.stats.report import Table
 from repro.experiments.common import trace_for
 from repro.workloads.spec import ALL_PROGRAMS
 
 LVC_SIZES = (512, 1024, 2048, 4096)
+
+_LOAD = int(FuClass.LOAD)
+_STORE = int(FuClass.STORE)
 
 
 def run(scale: float = DEFAULT_SCALE,
@@ -34,10 +38,12 @@ def run(scale: float = DEFAULT_SCALE,
         trace = trace_for(name, scale)
         caches = {size: Cache("lvc", CacheGeometry(size, 1, 32))
                   for size in sizes}
-        for inst in trace:
-            if inst.is_mem and inst.is_local:
+        stream = trace.insts
+        for fu, addr, is_local in zip(stream.fu, stream.addr,
+                                      stream.is_local):
+            if is_local and (fu == _LOAD or fu == _STORE):
                 for cache in caches.values():
-                    cache.access(inst.addr, inst.is_store)
+                    cache.access(addr, fu == _STORE)
         rows[name] = {size: cache.miss_rate
                       for size, cache in caches.items()}
     return rows

@@ -49,7 +49,7 @@
     Run the optimized build on the predecoded
     :class:`repro.vm.machine.Machine` and on the frozen seed interpreter
     :class:`repro.perf.reference_vm.ReferenceMachine`
-    (:func:`repro.perf.golden.diff_machines`): every ``DynInst`` slot,
+    (:func:`repro.perf.golden.diff_machines`): every instruction field,
     the trace statistics, the output, exit code, instruction count,
     registers and memory words must match.  This is the oracle that
     catches a handler the predecoder gets wrong on a shape the golden
@@ -245,28 +245,41 @@ def check_golden(vm: Machine, config: MachineConfig, name: str,
 def check_replay(vm: Machine, config: MachineConfig, name: str,
                  config_name: str = DEFAULT_CONFIG_NOTATION
                  ) -> List[Divergence]:
-    """Serialize → decode → replay, bit for bit vs execution-driven.
+    """Both replay paths, bit for bit vs execution-driven.
 
-    Reuses the golden plumbing: the replayed stream must produce the
+    The trace is serialized once and read back two ways: decoded as a
+    raw trace (what ``replay`` reads), and derived into a sidecar that is
+    serialized, deserialized and loaded (what ``replay_fast`` reads).
+    Reuses the golden plumbing: each replayed stream must produce the
     exact SimResult of the direct stream.  A round trip that *fails to
-    decode* is also a divergence — the format must accept every trace
+    decode* is also a divergence — both formats must accept every trace
     the VM can emit.
     """
     from repro.errors import TraceError
     from repro.perf.golden import diff_results
+    from repro.trace import predecode
     from repro.trace.format import decode_trace, encode_trace
 
     trace = vm.trace
     assert trace is not None
+    origin = f"<fuzz:{name}>"
     try:
-        replayed = decode_trace(encode_trace(trace),
-                                origin=f"<fuzz:{name}>")
+        blob = encode_trace(trace)
+        raw = decode_trace(blob, origin=origin).insts
+        sidecar = predecode.build_stream(predecode.decode_predecoded(
+            predecode.encode_predecoded(
+                predecode.predecode_trace(blob, origin=origin)),
+            origin=origin))
     except TraceError as exc:
         return [Divergence("replay", f"round trip failed: {exc}")]
     expected = Processor(config).run(trace.insts, name)
-    actual = Processor(config).run(replayed.insts, name)
-    return [Divergence("replay", repr(m))
-            for m in diff_results(name, config_name, expected, actual)]
+    out: List[Divergence] = []
+    for path, stream in (("trace", raw), ("sidecar", sidecar)):
+        actual = Processor(config).run(stream, name)
+        out.extend(Divergence("replay", f"{path}: {m!r}")
+                   for m in diff_results(name, config_name, expected,
+                                         actual))
+    return out
 
 
 def check_analyze(source: str, vm: Machine, name: str) -> List[Divergence]:

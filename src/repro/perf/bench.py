@@ -219,7 +219,7 @@ def bench_replay(
       round, and simulate;
     * **replay_fast** — :func:`repro.trace.replay.replay_fast` against
       the stored trace + pre-decoded sidecar: after the warmup round
-      the materialized stream is a per-process memo hit, which is
+      the loaded stream is a per-process memo hit, which is
       exactly what a benchmark repeat or a config sweep pays per point.
 
     kips here is dynamic instructions over *total* wall time per point;

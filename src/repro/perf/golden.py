@@ -17,7 +17,7 @@ index maintenance.
 The same harness holds the functional VM to its frozen seed interpreter:
 :func:`diff_machines` runs a program on :class:`repro.vm.machine.Machine`
 and on :class:`repro.perf.reference_vm.ReferenceMachine` and reports
-every field that differs — each ``DynInst`` slot, every ``TraceStats``
+every field that differs — each instruction field, every ``TraceStats``
 count and the frame-size histogram, the output, exit code, instruction
 count, registers, memory words and any fault raised.
 """
@@ -33,7 +33,7 @@ from repro.isa.program import Program
 from repro.perf.reference import ReferenceProcessor
 from repro.perf.reference_vm import ReferenceMachine
 from repro.vm.machine import Machine
-from repro.vm.trace import DynInst
+from repro.vm.trace import Stream
 
 #: The configuration axes of the paper's evaluation, by notation.  The
 #: fig9 pair (2+2 with fast forwarding and combining) is the headline
@@ -110,7 +110,7 @@ def diff_results(workload: str, config: str,
 
 
 def compare_on_trace(
-    insts: Sequence[DynInst],
+    insts: Stream,
     config: MachineConfig,
     workload: str = "<trace>",
     config_name: str = "<config>",
@@ -228,14 +228,15 @@ def diff_machines(program: Program,
                 getattr(got_stats, field))
     compare("stats.frame_sizes", list(want_stats.frame_sizes.items()),
             list(got_stats.frame_sizes.items()))
+    # Both streams iterate as records (the Stream adapter builds them).
     want_insts, got_insts = expected.trace.insts, actual.trace.insts
     compare("len(insts)", len(want_insts), len(got_insts))
     for index, (want, got) in enumerate(zip(want_insts, got_insts)):
-        if type(got) is not DynInst:
-            compare(f"insts[{index}] type", DynInst, type(got))
+        if type(got) is not type(want):
+            compare(f"insts[{index}] type", type(want), type(got))
             break
         if not all([compare(f"insts[{index}].{slot}", getattr(want, slot),
                             getattr(got, slot))
-                    for slot in DynInst.__slots__]):
+                    for slot in type(want).__slots__]):
             break
     return out

@@ -14,7 +14,6 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.errors import SimulationError
-from repro.vm.trace import DynInst
 
 # Entry lifecycle states.
 DISPATCHED = 0
@@ -31,14 +30,19 @@ _STATE_NAMES = {
 
 
 class RobEntry:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    ``inst`` is the instruction's index in the committed stream: the
+    kernel's stages read the stream's columns through it.  (The frozen
+    reference core keeps its instruction record there instead.)
+    """
 
     __slots__ = (
         "seq", "inst", "state", "pending", "earliest", "issue_time",
         "complete_time", "consumers", "mem", "in_issuable",
     )
 
-    def __init__(self, seq: int, inst: DynInst):
+    def __init__(self, seq: int, inst):
         self.seq = seq
         self.inst = inst
         self.state = DISPATCHED

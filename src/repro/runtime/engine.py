@@ -70,8 +70,8 @@ class WorkerPool:
     """A process pool whose workers — and their warm state — persist.
 
     The pool is the unit of *warmth*: each worker process accumulates the
-    per-process trace memo, the specialized-kernel cache, and the
-    materialized pre-decoded sidecars as it executes jobs.  A caller that
+    per-process trace memo, the specialized-kernel cache, and the streams
+    loaded from pre-decoded sidecars as it executes jobs.  A caller that
     keeps one ``WorkerPool`` across engine runs (the job service does)
     gets second submissions that recompile nothing.
 

@@ -133,8 +133,8 @@ def warm_snapshot() -> Dict[str, int]:
       (:mod:`repro.core.stages.specialize`);
     * ``trace_builds``    — traces built by the functional frontend
       (named-workload memo misses plus inline-source builds);
-    * ``trace_decodes``   — pre-decoded sidecar decodes and ``DynInst``
-      materializations (:mod:`repro.trace.predecode`).
+    * ``trace_decodes``   — pre-decoded sidecar derivations and stream
+      loads that missed the memo (:mod:`repro.trace.predecode`).
 
     A warm repeat of identical work leaves every counter unchanged.
     """

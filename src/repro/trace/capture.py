@@ -19,8 +19,8 @@ atime, hits, the job's ``describe()``), so ``repro-cc cache
 stats|verify|gc`` cover traces too.
 
 Next to each ``.trace`` the entry keeps a derived ``.pdt`` sidecar
-(:mod:`repro.trace.predecode`): the pre-decoded struct-of-arrays tables
-the replay fast path indexes instead of re-parsing the trace.  Sidecars
+(:mod:`repro.trace.predecode`): the stream's columns in the form the
+replay fast path loads in bulk instead of re-parsing the trace.  Sidecars
 are content-addressed to the trace's payload hash and re-derived on
 demand, so they are pure cache — deleting one costs a rebuild, never
 correctness.

@@ -20,8 +20,8 @@ the payload), the trace-level statistics (:class:`~repro.vm.trace
 metadata, and the SHA-256 of the payload.  Every multi-byte section is
 little-endian on disk regardless of host order.
 
-Sections (one table per :class:`~repro.vm.trace.DynInst` field, plus
-two derived tables):
+Sections (one table per :class:`~repro.vm.trace.Stream` column — the
+three flag columns packed into one byte — plus derived tables):
 
 ========== ==== =======================================================
 name       type contents
@@ -52,6 +52,12 @@ pure function, which is what keeps replay bit-identical under *any*
 frontend configuration — but they make the trace self-describing for
 offline analysis and ``repro-cc trace info``.
 
+Encoding and decoding convert whole columns at a time — ``array``
+construction from a list, ``tolist``, ``map``, and ``itemgetter``
+gathers through small lookup tables, all of which loop in C — so
+neither walks the stream instruction by instruction in Python.  The
+decoded ``srcs`` column shares one tuple per distinct operand list.
+
 Every decode error raises :class:`repro.errors.TraceError`; a corrupt,
 truncated, or version-skewed file can never silently misreplay.
 """
@@ -64,12 +70,14 @@ import os
 import struct
 import sys
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, lshift, ne, or_
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.stats.histogram import Histogram
 from repro.utils import write_atomic
-from repro.vm.trace import DynInst, Trace, TraceStats
+from repro.vm.trace import Stream, Trace, TraceStats, gatherer
 
 #: Bump on any incompatible change to the layout or field semantics.
 #: Participates in the capture code salt (``repro.trace.capture``) and in
@@ -103,9 +111,66 @@ SECTIONS: Tuple[Tuple[str, str], ...] = (
 _HINT_BY_CODE = (None, False, True)
 _CODE_BY_HINT = {None: 0, False: 1, True: 2}
 
+#: Largest valid flags byte: bits 0-1 free, hint code at most 2.
+_MAX_FLAGS = 1 | 2 | (2 << 2)
+
+#: The three flag columns by flags byte (valid bytes only).
+_HINT_BY_FLAGS = tuple(_HINT_BY_CODE[b >> 2] for b in range(_MAX_FLAGS + 1))
+_LOCAL_BY_FLAGS = tuple(bool(b & 1) for b in range(_MAX_FLAGS + 1))
+_SP_BASED_BY_FLAGS = tuple(bool(b & 2) for b in range(_MAX_FLAGS + 1))
+
 from repro.isa.opcodes import FuClass  # noqa: E402 - after stdlib block
 
 _BRANCH = int(FuClass.BRANCH)
+
+
+def pack_flags(stream: Stream) -> array:
+    """The stream's three flag columns packed one byte per instruction."""
+    try:
+        hint_codes = map(_CODE_BY_HINT.__getitem__, stream.hint)
+        return array("B", map(
+            or_,
+            map(or_, map(bool, stream.is_local),
+                map(lshift, map(bool, stream.sp_based), repeat(1))),
+            map(lshift, hint_codes, repeat(2))))
+    except (KeyError, TypeError) as exc:
+        raise TraceError(
+            f"a flag column holds a value the trace format cannot "
+            f"encode: {exc!r}") from None
+
+
+def unpack_flags(flags: array, origin: str
+                 ) -> Tuple[List[Optional[bool]], List[bool], List[bool]]:
+    """``(hint, is_local, sp_based)`` columns of a packed flags table."""
+    gather = gatherer(flags)
+    try:
+        return (list(gather(_HINT_BY_FLAGS)), list(gather(_LOCAL_BY_FLAGS)),
+                list(gather(_SP_BASED_BY_FLAGS)))
+    except IndexError:
+        raise TraceError(f"{origin}: flags table holds an invalid byte "
+                         f"({max(flags)})") from None
+
+
+class _Interned(dict):
+    """Maps each operand tuple to the first equal tuple seen."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+def split_srcs(counts: Iterable[int], flat: array, origin: str
+               ) -> List[Tuple[int, ...]]:
+    """The ``srcs`` column from per-instruction operand counts and the
+    flat operand table, one shared tuple per distinct operand list."""
+    counts = list(counts)
+    if sum(counts) != len(flat):
+        raise TraceError(
+            f"{origin}: srcs table has {len(flat)} entries, the operand "
+            f"counts sum to {sum(counts)}")
+    operands = iter(flat.tolist())
+    return list(map(_Interned().__getitem__,
+                    map(tuple, map(islice, repeat(operands), counts))))
 
 
 def _canonical_json(obj: Any) -> str:
@@ -141,11 +206,11 @@ def _stats_from_header(body: Dict[str, Any]) -> TraceStats:
     return stats
 
 
-def _default_gates(insts) -> List[Tuple[int, int]]:
+def _default_gates(stream: Stream) -> List[Tuple[int, int]]:
     """The gate list a default-geometry gshare frontend derives."""
     from repro.core.frontend import FrontendConfig, GshareFrontend
 
-    return GshareFrontend(FrontendConfig(policy="gshare")).prepare(insts)
+    return GshareFrontend(FrontendConfig(policy="gshare")).prepare(stream)
 
 
 def encode_trace(trace: Trace,
@@ -156,43 +221,34 @@ def encode_trace(trace: Trace,
     header, no timestamps), so capture is content-addressable and the
     determinism test can compare files byte for byte.
     """
-    insts = trace.insts
-    n = len(insts)
-    fu = array("B")
-    dst = array("b")
-    nsrc = array("B")
-    srcs = array("b")
-    addr = array("I")
-    size = array("B")
-    flags = array("B")
-    frame = array("I")
-    offset = array("i")
-    pc = array("I")
-    branch = bytearray((n + 7) >> 3)
+    stream = trace.insts
+    n = len(stream)
     try:
-        for i in range(n):
-            inst = insts[i]
-            fu.append(inst.fu)
-            dst.append(inst.dst)
-            sources = inst.srcs
-            nsrc.append(len(sources))
-            srcs.extend(sources)
-            addr.append(inst.addr)
-            size.append(inst.size)
-            flags.append((1 if inst.is_local else 0)
-                         | (2 if inst.sp_based else 0)
-                         | (_CODE_BY_HINT[inst.local_hint] << 2))
-            frame.append(inst.frame_id)
-            offset.append(inst.offset)
-            pc.append(inst.pc)
-            if (inst.fu == _BRANCH and i + 1 < n
-                    and insts[i + 1].pc != inst.pc + 1):
-                branch[i >> 3] |= 1 << (i & 7)
-    except (OverflowError, KeyError) as exc:
+        fu = array("B", stream.fu)
+        dst = array("b", stream.dst)
+        nsrc = array("B", map(len, stream.srcs))
+        srcs = array("b", chain.from_iterable(stream.srcs))
+        addr = array("I", stream.addr)
+        size = array("B", stream.size)
+        frame = array("I", stream.frame)
+        offset = array("i", stream.offset)
+        pc = array("I", stream.pc)
+    except (OverflowError, TypeError) as exc:
         raise TraceError(
-            f"instruction {i} does not fit the trace format: {exc}"
-        ) from None
-    gates = _default_gates(insts)
+            f"the stream does not fit the trace format: {exc}") from None
+    flags = pack_flags(stream)
+    if not (len(dst) == len(nsrc) == len(addr) == len(size) == len(flags)
+            == len(frame) == len(offset) == len(pc) == n):
+        raise TraceError("the stream's columns differ in length")
+    # A branch was taken iff the next committed instruction is not its
+    # static successor.
+    branch = bytearray((n + 7) >> 3)
+    taken = map(ne, islice(stream.pc, 1, None), map(add, stream.pc,
+                                                     repeat(1)))
+    for i in compress(range(n - 1), map(
+            bool.__and__, map(eq, stream.fu, repeat(_BRANCH)), taken)):
+        branch[i >> 3] |= 1 << (i & 7)
+    gates = _default_gates(stream)
     gate_index = array("I", (g for g, _code in gates))
     gate_code = array("B", (code for _g, code in gates))
 
@@ -310,61 +366,24 @@ def decode_trace(data: bytes, origin: str = "<bytes>",
                 f"(header {want}, payload {got}) — corrupt file")
 
     n = header["instructions"]
-    fu = _load_section(payload, by_name["fu"])
-    dst = _load_section(payload, by_name["dst"])
-    nsrc = _load_section(payload, by_name["nsrc"])
-    srcs = _load_section(payload, by_name["srcs"])
-    addr = _load_section(payload, by_name["addr"])
-    size = _load_section(payload, by_name["size"])
-    flags = _load_section(payload, by_name["flags"])
-    frame = _load_section(payload, by_name["frame"])
-    offs = _load_section(payload, by_name["offset"])
-    pc = _load_section(payload, by_name["pc"])
-    for name, table in (("fu", fu), ("dst", dst), ("nsrc", nsrc),
-                        ("addr", addr), ("size", size), ("flags", flags),
-                        ("frame", frame), ("offset", offs), ("pc", pc)):
-        if len(table) != n:
+    tables = {name: _load_section(payload, by_name[name])
+              for name in ("fu", "dst", "nsrc", "srcs", "addr", "size",
+                           "flags", "frame", "offset", "pc")}
+    for name, table in tables.items():
+        if name != "srcs" and len(table) != n:
             raise TraceError(
                 f"{origin}: section {name!r} holds {len(table)} entries "
                 f"for {n} instructions")
+    hint, is_local, sp_based = unpack_flags(tables["flags"], origin)
+    stream = Stream(
+        fu=tables["fu"].tolist(), dst=tables["dst"].tolist(),
+        srcs=split_srcs(tables["nsrc"], tables["srcs"], origin),
+        addr=tables["addr"].tolist(), size=tables["size"].tolist(),
+        hint=hint, is_local=is_local, sp_based=sp_based,
+        frame=tables["frame"].tolist(), offset=tables["offset"].tolist(),
+        pc=tables["pc"].tolist())
 
-    insts: List[DynInst] = [None] * n  # type: ignore[list-item]
-    new = DynInst.__new__
-    cls = DynInst
-    hints = _HINT_BY_CODE
-    position = 0
-    try:
-        for i in range(n):
-            inst = new(cls)
-            inst.fu = fu[i]
-            inst.dst = dst[i]
-            count = nsrc[i]
-            if count:
-                inst.srcs = tuple(srcs[position:position + count])
-                position += count
-            else:
-                inst.srcs = ()
-            inst.addr = addr[i]
-            inst.size = size[i]
-            bits = flags[i]
-            inst.local_hint = hints[(bits >> 2) & 3]
-            inst.is_local = bool(bits & 1)
-            inst.sp_based = bool(bits & 2)
-            inst.frame_id = frame[i]
-            inst.offset = offs[i]
-            inst.pc = pc[i]
-            insts[i] = inst
-    except IndexError:
-        raise TraceError(
-            f"{origin}: flat srcs table exhausted at instruction {i} "
-            f"— inconsistent nsrc section") from None
-    if position != len(srcs):
-        raise TraceError(
-            f"{origin}: srcs table has {len(srcs)} entries, "
-            f"instructions consumed {position}")
-
-    trace = Trace(header.get("workload", "<trace>"))
-    trace.insts = insts
+    trace = Trace(header.get("workload", "<trace>"), stream)
     trace.stats = _stats_from_header(header.get("stats", {}))
     return trace
 

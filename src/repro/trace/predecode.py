@@ -1,50 +1,54 @@
-"""Pre-decoded struct-of-arrays sidecar for trace replay.
+"""Pre-decoded sidecar: a trace's stream in its directly loadable form.
 
 A predecoded sidecar is a **derived** artifact of one captured trace:
-every per-instruction quantity replay needs, fully materialized as flat
-little-endian tables so the per-instruction work of feeding the kernel
-is pure array indexing — no parsing, no per-field bit twiddling, no
-dict lookups:
+the committed :class:`~repro.vm.trace.Stream`'s columns as flat
+little-endian tables, laid out so that loading them is a handful of
+C-level bulk conversions — ``tolist`` per column, and ``itemgetter``
+gathers through small lookup tables for operands and flags — with no
+per-instruction Python work:
 
-========= ==== ========================================================
-name      type contents
-========= ==== ========================================================
-fu        B    functional-unit class (``FuClass`` value)
-dst       b    destination register, ``-1`` = none
-src_off   I    prefix sums into ``srcs``: operands of instruction ``i``
-               are ``srcs[src_off[i]:src_off[i + 1]]`` (n+1 entries)
-srcs      b    all source registers, concatenated in stream order
-lat       B    functional-unit latency (``LATENCY_BY_INT[fu]``)
-addr      I    effective byte address (memory ops; else 0)
-word      I    ``addr >> 2`` — the forwarding/combining word number
-line      I    ``addr >> 5`` — the cache line number
-size      B    access width in bytes (memory ops; else 0)
-flags     B    bit0 ``is_local``, bit1 ``sp_based``,
-               bits2-3 ``local_hint`` (0=None, 1=False, 2=True)
-frame     I    activation-record id of the access (region table)
-offset    i    static offset from the frame base (region table)
-pc        I    static instruction index
-========= ==== ========================================================
+========== ==== =======================================================
+name       type contents
+========== ==== =======================================================
+fu         B    functional-unit class (``FuClass`` value)
+dst        b    destination register, ``-1`` = none
+src_id     I    the instruction's operand list, as an index into the
+                distinct-list table below
+addr       I    effective byte address (memory ops; else 0)
+size       B    access width in bytes (memory ops; else 0)
+flags      B    bit0 ``is_local``, bit1 ``sp_based``,
+                bits2-3 ``hint`` (0=None, 1=False, 2=True)
+frame      I    activation-record id of the access (region table)
+offset     i    static offset from the frame base (region table)
+pc         I    static instruction index
+src_count  B    the distinct operand lists' lengths, in first-use order
+src_regs   b    the distinct operand lists, concatenated
+========== ==== =======================================================
 
-``src_off``, ``lat``, ``word`` and ``line`` are the derived tables the
-raw trace format does not carry; the rest are copied so a sidecar is
-self-contained.  The on-disk layout mirrors the trace format: magic,
-canonical-JSON header (sorted keys, no whitespace — deterministic
-bytes), then the section tables back to back, checksummed with the
-payload's SHA-256.  The header records ``source_sha256`` — the payload
-hash of the trace the sidecar was derived from — which makes sidecars
-content-addressed to their source: a re-captured trace can never be
-replayed through a stale sidecar.
+Every table feeds one column of the loaded stream; none is written that
+the loader does not read.  A stream has few distinct operand lists (130.li
+uses 383 in 55k instructions), so ``src_id`` plus the small table replace
+the raw trace's per-instruction operand counts and flat operand table,
+and the loaded ``srcs`` column shares one tuple per distinct list.  The
+on-disk layout mirrors the trace format: magic, canonical-JSON header
+(sorted keys, no whitespace — deterministic bytes), then the section
+tables back to back, checksummed with the payload's SHA-256.  The header
+records ``source_sha256`` — the payload hash of the trace the sidecar was
+derived from — which makes sidecars content-addressed to their source: a
+re-captured trace can never be replayed through a stale sidecar, and a
+sidecar of an older layout (another ``PREDECODE_VERSION``) is refused and
+re-derived.
 
 Every defect — bad magic, truncated payload, checksum mismatch, version
 skew, source mismatch — raises :class:`repro.errors.TraceError`.
 
-Materialization (:func:`materialized_insts`) builds the
-:class:`~repro.vm.trace.DynInst` list the kernel consumes and memoizes
-it per process keyed by ``source_sha256``, so a benchmark repeat or a
-config sweep over one workload pays the object construction once.  The
-memoized list is shared: the kernel treats the committed stream as
-read-only (the golden harness already relies on this).
+Loading (:func:`load_stream`) builds the stream's columns and memoizes
+the stream per process keyed by ``source_sha256``, so a benchmark repeat
+or a config sweep over one workload pays the build once.  The memoized
+stream is shared: the kernel treats the committed stream as read-only
+(the golden harness already relies on this).  Only the stream is kept —
+the tables it was built from are dropped with their
+:class:`PredecodedTrace`.
 """
 
 from __future__ import annotations
@@ -55,15 +59,20 @@ import struct
 import sys
 from array import array
 from collections import OrderedDict
+from itertools import chain, repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.isa.opcodes import LATENCY_BY_INT
+from repro.trace.format import split_srcs, unpack_flags
 from repro.utils import write_atomic
-from repro.vm.trace import DynInst
+from repro.vm.trace import Stream, gatherer
 
 #: Bump on any incompatible change to the sidecar layout or semantics.
-PREDECODE_VERSION = 1
+#: Version 2 replaced the per-instruction operand offsets and the
+#: unread ``lat``/``word``/``line`` tables with ``src_id`` and the
+#: distinct operand-list table.
+PREDECODE_VERSION = 2
 
 MAGIC = b"RPROPDT1"
 
@@ -74,21 +83,20 @@ _LITTLE = sys.byteorder == "little"
 SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("fu", "B"),
     ("dst", "b"),
-    ("src_off", "I"),
-    ("srcs", "b"),
-    ("lat", "B"),
+    ("src_id", "I"),
     ("addr", "I"),
-    ("word", "I"),
-    ("line", "I"),
     ("size", "B"),
     ("flags", "B"),
     ("frame", "I"),
     ("offset", "i"),
     ("pc", "I"),
+    ("src_count", "B"),
+    ("src_regs", "b"),
 )
 
-#: ``local_hint`` tri-state by flag bits 2-3 (same coding as the trace).
-_HINT_BY_CODE = (None, False, True)
+#: Sections holding one entry per instruction.
+_PER_INSTRUCTION = ("fu", "dst", "src_id", "addr", "size", "flags",
+                    "frame", "offset", "pc")
 
 
 def _canonical_json(obj: Any) -> str:
@@ -116,9 +124,9 @@ class PredecodedTrace:
 
 
 #: Per-process count of decode work done: sidecar-table derivations plus
-#: ``DynInst`` materializations that missed the memo.  A warm repeat of
-#: identical replay work leaves this flat — the runtime's warm-state
-#: accounting (:func:`repro.runtime.worker.warm_snapshot`) reads it.
+#: stream builds that missed the memo.  A warm repeat of identical replay
+#: work leaves this flat — the runtime's warm-state accounting
+#: (:func:`repro.runtime.worker.warm_snapshot`) reads it.
 decode_count = 0
 
 
@@ -126,8 +134,7 @@ def predecode_trace(data: bytes, origin: str = "<bytes>",
                     verify: bool = True) -> PredecodedTrace:
     """Derive the sidecar tables from one *encoded* trace.
 
-    Works straight off the raw section tables — the intermediate
-    ``DynInst`` list is never built.
+    Works straight off the raw section tables; no stream is built.
     """
     global decode_count
     decode_count += 1
@@ -149,54 +156,33 @@ def predecode_trace(data: bytes, origin: str = "<bytes>",
         raise TraceError(f"{origin}: trace header lacks payload_sha256")
 
     n = header["instructions"]
-    fu = tf._load_section(payload, by_name["fu"])
-    nsrc = tf._load_section(payload, by_name["nsrc"])
-    addr = tf._load_section(payload, by_name["addr"])
-    if len(fu) != n or len(nsrc) != n or len(addr) != n:
-        raise TraceError(f"{origin}: section length mismatch "
-                         f"({n} instructions declared)")
-
-    src_off = array("I", bytes(4 * (n + 1)))
-    position = 0
-    for i in range(n):
-        src_off[i] = position
-        position += nsrc[i]
-    src_off[n] = position
-    srcs = tf._load_section(payload, by_name["srcs"])
-    if position != len(srcs):
-        raise TraceError(
-            f"{origin}: srcs table has {len(srcs)} entries, "
-            f"nsrc sums to {position}")
-    try:
-        lat = array("B", (LATENCY_BY_INT[f] for f in fu))
-    except (IndexError, OverflowError) as exc:
-        raise TraceError(
-            f"{origin}: unknown functional-unit class: {exc}") from None
-    word = array("I", (a >> 2 for a in addr))
-    line = array("I", (a >> 5 for a in addr))
-
     tables: Dict[str, array] = {
-        "fu": fu,
-        "dst": tf._load_section(payload, by_name["dst"]),
-        "src_off": src_off,
-        "srcs": srcs,
-        "lat": lat,
-        "addr": addr,
-        "word": word,
-        "line": line,
-        "size": tf._load_section(payload, by_name["size"]),
-        "flags": tf._load_section(payload, by_name["flags"]),
-        "frame": tf._load_section(payload, by_name["frame"]),
-        "offset": tf._load_section(payload, by_name["offset"]),
-        "pc": tf._load_section(payload, by_name["pc"]),
-    }
-    for name, _typecode in SECTIONS:
-        expected = position if name == "srcs" else (
-            n + 1 if name == "src_off" else n)
-        if len(tables[name]) != expected:
+        name: tf._load_section(payload, by_name[name])
+        for name in ("fu", "dst", "addr", "size", "flags", "frame",
+                     "offset", "pc")}
+    nsrc = tf._load_section(payload, by_name["nsrc"])
+    for name, table in list(tables.items()) + [("nsrc", nsrc)]:
+        if len(table) != n:
             raise TraceError(
-                f"{origin}: derived section {name!r} holds "
-                f"{len(tables[name])} entries, expected {expected}")
+                f"{origin}: section {name!r} holds {len(table)} entries "
+                f"for {n} instructions")
+    if n and max(tables["fu"]) >= len(LATENCY_BY_INT):
+        raise TraceError(f"{origin}: unknown functional-unit class "
+                         f"{max(tables['fu'])}")
+    # Number the distinct operand lists in first-use order: each lookup
+    # passes the table's size before the insert as the new id.
+    ids: Dict[Tuple[int, ...], int] = {}
+    tables["src_id"] = array("I", map(
+        ids.setdefault,
+        split_srcs(nsrc, tf._load_section(payload, by_name["srcs"]),
+                   origin),
+        map(len, repeat(ids))))
+    try:
+        tables["src_count"] = array("B", map(len, ids))
+    except OverflowError:
+        raise TraceError(
+            f"{origin}: an operand list is longer than 255") from None
+    tables["src_regs"] = array("b", chain.from_iterable(ids))
     return PredecodedTrace(header.get("workload", "<trace>"),
                            source_sha, n, tables)
 
@@ -294,20 +280,15 @@ def decode_predecoded(data: bytes, origin: str = "<bytes>",
         if not _LITTLE:
             table.byteswap()
         tables[name] = table
-    if len(tables["src_off"]) != n + 1:
-        raise TraceError(
-            f"{origin}: src_off holds {len(tables['src_off'])} entries "
-            f"for {n} instructions")
-    for name in ("fu", "dst", "lat", "addr", "word", "line", "size",
-                 "flags", "frame", "offset", "pc"):
+    for name in _PER_INSTRUCTION:
         if len(tables[name]) != n:
             raise TraceError(
                 f"{origin}: section {name!r} holds {len(tables[name])} "
                 f"entries for {n} instructions")
-    if len(tables["srcs"]) != tables["src_off"][n]:
+    if len(tables["src_regs"]) != sum(tables["src_count"]):
         raise TraceError(
-            f"{origin}: srcs table has {len(tables['srcs'])} entries, "
-            f"src_off declares {tables['src_off'][n]}")
+            f"{origin}: src_regs table has {len(tables['src_regs'])} "
+            f"entries, src_count declares {sum(tables['src_count'])}")
     return PredecodedTrace(header.get("workload", "<trace>"),
                            source_sha, n, tables)
 
@@ -328,83 +309,64 @@ def write_predecoded(pdt: PredecodedTrace, path: str) -> str:
     return write_atomic(path, encode_predecoded(pdt))
 
 
-# -- materialization ----------------------------------------------------------
+# -- loading ------------------------------------------------------------------
 
-#: Materialized streams by source trace hash (bounded; FIFO eviction).
-#: Shared read-only with every consumer — see the module docstring.
-_MATERIALIZED: "OrderedDict[str, List[DynInst]]" = OrderedDict()
-_MATERIALIZED_CAP = 16
+#: Loaded streams by source trace hash (bounded; FIFO eviction).  Shared
+#: read-only with every consumer — see the module docstring.
+_STREAMS: "OrderedDict[str, Stream]" = OrderedDict()
+_STREAMS_CAP = 16
 
 
 def clear_materialized() -> None:
-    """Drop the per-process materialization memo (tests)."""
-    _MATERIALIZED.clear()
+    """Drop the per-process stream memo."""
+    _STREAMS.clear()
 
 
-def materialized_cached(source_sha256: str) -> Optional[List[DynInst]]:
+def cached_stream(source_sha256: str) -> Optional[Stream]:
     """Memo probe by source trace hash (no sidecar load needed)."""
-    cached = _MATERIALIZED.get(source_sha256)
+    cached = _STREAMS.get(source_sha256)
     if cached is not None:
-        _MATERIALIZED.move_to_end(source_sha256)
+        _STREAMS.move_to_end(source_sha256)
     return cached
 
 
-def materialized_insts(pdt: PredecodedTrace) -> List[DynInst]:
-    """The ``DynInst`` stream for *pdt*, memoized per process.
+def load_stream(pdt: PredecodedTrace) -> Stream:
+    """The :class:`Stream` for *pdt*, memoized per process.
 
     Repeated calls for the same source trace (benchmark rounds, config
-    sweeps) return the same list object without rebuilding it.
+    sweeps) return the same stream object without rebuilding it.
     """
     global decode_count
-    cached = _MATERIALIZED.get(pdt.source_sha256)
+    cached = cached_stream(pdt.source_sha256)
     if cached is not None:
-        _MATERIALIZED.move_to_end(pdt.source_sha256)
         return cached
     decode_count += 1
-    insts = _materialize(pdt)
-    _MATERIALIZED[pdt.source_sha256] = insts
-    while len(_MATERIALIZED) > _MATERIALIZED_CAP:
-        _MATERIALIZED.popitem(last=False)
-    return insts
+    stream = build_stream(pdt)
+    _STREAMS[pdt.source_sha256] = stream
+    while len(_STREAMS) > _STREAMS_CAP:
+        _STREAMS.popitem(last=False)
+    return stream
 
 
-def _materialize(pdt: PredecodedTrace) -> List[DynInst]:
-    """Build the ``DynInst`` list by pure array indexing."""
+def build_stream(pdt: PredecodedTrace) -> Stream:
+    """The :class:`Stream` the sidecar tables hold (not memoized).
+
+    Each column is one C-level conversion: ``tolist`` of its table, or a
+    gather through the operand-list table or the flag lookup tables.
+    """
     t = pdt.tables
-    n = pdt.n
-    fu = t["fu"]
-    dst = t["dst"]
-    src_off = t["src_off"]
-    srcs = t["srcs"]
-    addr = t["addr"]
-    size = t["size"]
-    flags = t["flags"]
-    frame = t["frame"]
-    offs = t["offset"]
-    pc = t["pc"]
-    hints = _HINT_BY_CODE
-    new = DynInst.__new__
-    cls = DynInst
-    insts: List[DynInst] = [None] * n  # type: ignore[list-item]
-    position = 0
-    for i in range(n):
-        inst = new(cls)
-        inst.fu = fu[i]
-        inst.dst = dst[i]
-        end = src_off[i + 1]
-        if end > position:
-            inst.srcs = tuple(srcs[position:end])
-            position = end
-        else:
-            inst.srcs = ()
-        inst.addr = addr[i]
-        inst.size = size[i]
-        bits = flags[i]
-        inst.local_hint = hints[(bits >> 2) & 3]
-        inst.is_local = bool(bits & 1)
-        inst.sp_based = bool(bits & 2)
-        inst.frame_id = frame[i]
-        inst.offset = offs[i]
-        inst.pc = pc[i]
-        insts[i] = inst
-    return insts
+    origin = f"<sidecar {pdt.source_sha256[:12]}>"
+    try:
+        srcs = list(gatherer(t["src_id"])(
+            split_srcs(t["src_count"], t["src_regs"], origin)))
+    except IndexError:
+        raise TraceError(
+            f"{origin}: src_id {max(t['src_id'])} is outside the "
+            f"{len(t['src_count'])}-entry operand-list table") from None
+    hint, is_local, sp_based = unpack_flags(t["flags"], origin)
+    return Stream(
+        fu=t["fu"].tolist(), dst=t["dst"].tolist(), srcs=srcs,
+        addr=t["addr"].tolist(), size=t["size"].tolist(),
+        hint=hint, is_local=is_local, sp_based=sp_based,
+        frame=t["frame"].tolist(), offset=t["offset"].tolist(),
+        pc=t["pc"].tolist())

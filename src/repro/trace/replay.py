@@ -1,15 +1,16 @@
-"""Trace-driven replay: pre-decoded flat arrays straight into the kernel.
+"""Trace-driven replay: pre-decoded columns straight into the kernel.
 
 Replay is the hot path the capture layer exists for.  It loads a
-serialized committed stream (:mod:`repro.trace.format`), materialises
-the :class:`~repro.vm.trace.DynInst` sequence with bulk array loads, and
-hands it to the **unmodified** staged timing kernel — no VM, no
-compiler, no workload generator on the path.  Because the kernel
-consumes only the committed stream (frontend gate lists are a pure
-function of it, recomputed at bind time), a replayed run is
-**bit-identical** to the execution-driven run it was captured from:
-same cycles, same instruction count, same counter dictionary, for every
-machine configuration.  :func:`check_replay_equivalence` enforces that
+serialized committed stream — from the pre-decoded sidecar
+(:mod:`repro.trace.predecode`) when one matches, else from the raw trace
+(:mod:`repro.trace.format`) — as a :class:`~repro.vm.trace.Stream` built
+with bulk column conversions, and hands it to the **unmodified** staged
+timing kernel — no VM, no compiler, no workload generator on the path.
+Because the kernel consumes only the committed stream (frontend gate
+lists are a pure function of it, recomputed at bind time), a replayed
+run is **bit-identical** to the execution-driven run it was captured
+from: same cycles, same instruction count, same counter dictionary, for
+every machine configuration.  :func:`check_replay_equivalence` enforces that
 over the golden matrix.
 """
 
@@ -21,7 +22,7 @@ from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
 from repro.trace.format import read_trace
-from repro.vm.trace import Trace
+from repro.vm.trace import Stream, Trace
 
 TraceSource = Union[str, Trace]
 
@@ -48,16 +49,17 @@ def replay(source: TraceSource, config: MachineConfig,
 
 
 def replay_insts(source: TraceSource,
-                 verify: bool = True) -> Tuple[List, str]:
+                 verify: bool = True) -> Tuple[Stream, str]:
     """The committed stream for *source* via the pre-decoded fast path.
 
-    Returns ``(insts, workload name)``.  A trace file path is routed
-    through :mod:`repro.trace.predecode`: a ``.pdt`` sidecar next to
-    the file is used when present and matching (checksummed, source-
-    hash-checked), else the tables are derived in memory from the raw
-    trace; either way the ``DynInst`` materialization is memoized per
-    process, so repeats and config sweeps over one trace decode it
-    once.  The stream is bit-identical to ``load_trace(...).insts``.
+    Returns ``(stream, workload name)`` and does all of a replay's
+    loading.  A trace file path is routed through
+    :mod:`repro.trace.predecode`: a ``.pdt`` sidecar next to the file is
+    used when present and matching (checksummed, source-hash-checked),
+    else the tables are derived in memory from the raw trace; either
+    way the loaded stream is memoized per process, so repeats and config
+    sweeps over one trace load it once.  The stream is equal, column
+    for column, to ``load_trace(...).insts``.
     """
     if isinstance(source, Trace):
         return source.insts, source.name
@@ -68,7 +70,7 @@ def replay_insts(source: TraceSource,
     header = read_trace_header(source)
     source_sha = header.get("payload_sha256")
     if source_sha:
-        cached = _pd.materialized_cached(source_sha)
+        cached = _pd.cached_stream(source_sha)
         if cached is not None:
             return cached, header.get("workload", "<trace>")
     pdt = None
@@ -86,7 +88,7 @@ def replay_insts(source: TraceSource,
         with open(source, "rb") as handle:
             data = handle.read()
         pdt = _pd.predecode_trace(data, origin=source, verify=verify)
-    return _pd.materialized_insts(pdt), pdt.workload
+    return _pd.load_stream(pdt), pdt.workload
 
 
 def replay_fast(source: TraceSource, config: MachineConfig,
@@ -98,8 +100,8 @@ def replay_fast(source: TraceSource, config: MachineConfig,
     tables instead of trace parsing, and a memoized stream shared
     across repeats in this process.
     """
-    insts, name = replay_insts(source, verify=verify)
-    return Processor(config).run(insts, workload if workload else name)
+    stream, name = replay_insts(source, verify=verify)
+    return Processor(config).run(stream, workload if workload else name)
 
 
 def check_replay_equivalence(

@@ -1,12 +1,12 @@
 """Functional virtual machine: executes programs and emits dynamic traces."""
 
 from repro.vm.memory import SparseMemory
-from repro.vm.trace import DynInst, Trace, TraceStats
+from repro.vm.trace import Stream, Trace, TraceStats
 from repro.vm.machine import Machine, run_program
 
 __all__ = [
     "SparseMemory",
-    "DynInst",
+    "Stream",
     "Trace",
     "TraceStats",
     "Machine",

@@ -1,10 +1,11 @@
 """The functional interpreter.
 
 Executes a :class:`~repro.isa.program.Program` instruction by instruction,
-optionally emitting a dynamic :class:`~repro.vm.trace.Trace` for the timing
-simulator.  The interpreter also maintains the activation-record bookkeeping
-the paper's measurements need: per-call frame sizes (Figure 3), call depth,
-frame ids and ``$sp``-relative offsets (fast data forwarding keys).
+optionally recording the committed stream (a :class:`~repro.vm.trace.Trace`
+holding a :class:`~repro.vm.trace.Stream`) for the timing simulator.  The
+interpreter also maintains the activation-record bookkeeping the paper's
+measurements need: per-call frame sizes (Figure 3), call depth, frame ids
+and ``$sp``-relative offsets (fast data forwarding keys).
 
 Predecode.  :meth:`Machine.run` first decodes every static instruction
 once into a *handler*: a zero-argument closure that executes one dynamic
@@ -13,18 +14,29 @@ instance of its instruction and returns the next pc, so the run loop is
 every dynamic instance: the operands, the register-write rule of the
 destination (writes to ``$zero`` dropped, GPRs wrapped to signed 32 bits,
 FPR values stored as they are, ``$sp`` writes tracking the frame's lowest
-``$sp``), the next pc, and the static ``DynInst`` fields, including one
-``srcs`` tuple shared read-only by every dynamic instance.
+``$sp``), the next pc, and the instruction's static stream fields
+(``fu``, ``dst``, ``srcs``, ``size``, ``hint``, ``sp_based``), including
+one ``srcs`` tuple shared read-only by every dynamic instance.
+
+Tracing.  A handler's only per-instruction record is its pc, appended to
+one list; a memory handler also appends its address and, when
+``$sp``/``$fp``-relative, its frame id and offset to three more.  When
+the run ends, :meth:`Machine.run` extends the stream's columns from those
+lists in bulk: the static columns gather the pcs through per-pc tables,
+and the address, locality, frame and offset columns are zero-filled and
+then set at the memory ops' positions from the memory lists.  Every such
+pass loops in C (``itemgetter``, ``compress``, ``map``), and no
+per-instruction object is allocated.
 
 Handler contract:
 
 * a handler returns the next pc; it executes its instruction completely
-  (register and memory writes, then its ``DynInst`` when tracing) or
+  (register and memory writes, then its trace record when tracing) or
   raises before any side effect — ``VmError`` for a guest fault, or the
   Python error the seed interpreter raised in the same place (e.g.
   ``int()`` of an infinite float);
-* the exit syscall records its ``DynInst`` and raises ``VmExit``; the
-  run loop counts it as executed;
+* the exit syscall records itself and raises ``VmExit``; the run loop
+  counts it as executed;
 * a handler whose successor may lie outside the code (register jumps,
   fall-through past the last instruction, out-of-range branch targets)
   records that pc and returns ``len(code)``, where a last handler raises
@@ -34,16 +46,19 @@ Handler contract:
   operands read from GPRs skip the seed's ``int()``; FPR operands keep it.
 
 The run loop keeps the instruction count in a local and leaves the cyclic
-GC off for the run (it allocates only acyclic ``DynInst``, tuple and int
-objects); ``TraceStats`` counts are folded in when the run ends.  The
-frozen seed interpreter, :class:`repro.perf.reference_vm.ReferenceMachine`,
-is the bit-for-bit reference (``docs/perf.md``, "Functional VM").
+GC off for the run (it allocates only acyclic objects); the stream's
+columns and the ``TraceStats`` counts are filled in when the run ends.
+The frozen seed interpreter,
+:class:`repro.perf.reference_vm.ReferenceMachine`, is the bit-for-bit
+reference (``docs/perf.md``, "Functional VM").
 """
 
 from __future__ import annotations
 
 import gc
 import operator
+from collections import Counter, deque
+from itertools import compress
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VmError, VmExit
@@ -57,7 +72,7 @@ from repro.isa.program import (
 )
 from repro.isa.registers import FPR_BASE, Reg, TOTAL_REGS
 from repro.vm.memory import SparseMemory
-from repro.vm.trace import DynInst, NO_REG, Trace
+from repro.vm.trace import NO_REG, Trace, gatherer
 
 _SP = int(Reg.SP)
 _FP = int(Reg.FP)
@@ -69,6 +84,9 @@ _F12 = FPR_BASE + 12
 _IALU = int(FuClass.IALU)
 _BRANCH = int(FuClass.BRANCH)
 _SYSCALL = int(FuClass.SYSCALL)
+
+#: The stack region: an access is local iff its address lies here.
+_STACK = range(STACK_LIMIT, STACK_BASE)
 
 #: One decoded instruction: executes a dynamic instance, returns next pc.
 Handler = Callable[[], int]
@@ -314,7 +332,7 @@ class Machine:
             self.pc = decoded.bad_pc[0] if pc == code else pc
             self.instructions_executed = executed
             if self.trace is not None:
-                decoded.fold_stats(self.trace.stats, executed - start)
+                decoded.finish(self.trace, executed - start)
         self.exit_code = -1
         return -1
 
@@ -330,29 +348,95 @@ class _Predecoded:
     Built at the start of each :meth:`Machine.run` and dropped at its end,
     so nothing decoded outlives the run or is shared between machines.
     Handlers close over the machine's register list, memory dict, frame
-    stack and trace list — never over this object, so no reference cycle
-    is formed.
+    stack and this run's trace lists — never over this object, so no
+    reference cycle is formed.
     """
 
     def __init__(self, vm: Machine):
         code = vm.program.instructions
-        self.bad_pc = [len(code)]
-        #: The trace's append, or None when the machine does not trace.
-        self._emit = vm.trace.insts.append if vm.trace is not None else None
-        #: Per-pc executions and stack-region executions of memory ops.
-        self._execs = [0] * len(code)
-        self._local_execs = [0] * len(code)
+        n = len(code)
+        self.bad_pc = [n]
+        #: This run's committed pcs, in order (tracing only).
+        self._pcs: List[int] = []
+        #: Its append, or None when the machine does not trace.
+        self._emit = self._pcs.append if vm.trace is not None else None
+        #: Memory ops' addresses, and sp-based ones' frame ids and
+        #: offsets, in stream order.
+        self._addrs: List[int] = []
+        self._frame_ids: List[int] = []
+        self._offsets: List[int] = []
+        #: The static stream fields by pc, filled in by the decoders.
+        self._fu = [0] * n
+        self._dst = [NO_REG] * n
+        self._srcs: List[Tuple[int, ...]] = [()] * n
+        self._size = [0] * n
+        self._hint: List[Optional[bool]] = [None] * n
+        self._is_mem = [False] * n
+        self._sp_based = [False] * n
         #: (pc, is_load, sp_based, ambiguous) per memory instruction.
         self._mem_sites: List[Tuple[int, bool, bool, bool]] = []
         self._vm = vm
         self.handlers: List[Handler] = [
-            self._decode(ins, pc, len(code)) for pc, ins in enumerate(code)]
+            self._decode(ins, pc, n) for pc, ins in enumerate(code)]
         self.handlers.append(self._pc_fault())
 
-    def fold_stats(self, stats, executed: int) -> None:
+    def _static(self, pc: int, fu: int, dst: int, srcs: Tuple[int, ...],
+                size: int = 0, hint: Optional[bool] = None,
+                is_mem: bool = False, sp_based: bool = False) -> None:
+        """Record the stream fields every instance of *pc* shares."""
+        self._fu[pc] = fu
+        self._dst[pc] = dst
+        self._srcs[pc] = srcs
+        self._size[pc] = size
+        self._hint[pc] = hint
+        self._is_mem[pc] = is_mem
+        self._sp_based[pc] = sp_based
+
+    def finish(self, trace: Trace, executed: int) -> None:
+        """Extend *trace*'s stream by this run's instructions and add
+        their counts to its statistics."""
+        pcs = self._pcs
+        n = len(pcs)
+        gather = gatherer(pcs)
+        is_mem = gather(self._is_mem)
+        sp_based = gather(self._sp_based)
+        # The dynamic columns are zero but at the memory ops: fill those
+        # positions from the memory lists.
+        mem_local = list(map(_STACK.__contains__, self._addrs))
+        addr = [0] * n
+        is_local = [False] * n
+        frame = [0] * n
+        offset = [0] * n
+        if self._addrs:
+            mem_at = list(compress(range(n), is_mem))
+            deque(map(addr.__setitem__, mem_at, self._addrs), maxlen=0)
+            deque(map(is_local.__setitem__, mem_at, mem_local), maxlen=0)
+        if self._frame_ids:
+            sp_at = list(compress(range(n), sp_based))
+            deque(map(frame.__setitem__, sp_at, self._frame_ids),
+                  maxlen=0)
+            deque(map(offset.__setitem__, sp_at, self._offsets),
+                  maxlen=0)
+        stream = trace.insts
+        stream.fu.extend(gather(self._fu))
+        stream.dst.extend(gather(self._dst))
+        stream.srcs.extend(gather(self._srcs))
+        stream.addr.extend(addr)
+        stream.size.extend(gather(self._size))
+        stream.hint.extend(gather(self._hint))
+        stream.is_local.extend(is_local)
+        stream.sp_based.extend(sp_based)
+        stream.frame.extend(frame)
+        stream.offset.extend(offset)
+        stream.pc.extend(pcs)
+        mem_pcs = list(compress(pcs, is_mem))
+        self._fold_stats(trace.stats, executed, Counter(mem_pcs),
+                         Counter(compress(mem_pcs, mem_local)))
+
+    def _fold_stats(self, stats, executed: int, execs: Counter,
+                    local_execs: Counter) -> None:
         """Add this run's instruction and memory-reference counts."""
         stats.instructions += executed
-        execs, local_execs = self._execs, self._local_execs
         for pc, is_load, sp_based, ambiguous in self._mem_sites:
             count = execs[pc]
             if not count:
@@ -456,7 +540,7 @@ class _Predecoded:
         shift = 16 if ins.op is Opcode.LUI else 0
         inline, write = self._rd_rule(rd, isinstance(imm, int))
         value = _wrap32(imm << shift) if inline else None
-        srcs = ins.reads
+        self._static(pc, _IALU, rd, ins.reads)
         regs = self._vm.regs
         emit = self._emit
 
@@ -466,8 +550,7 @@ class _Predecoded:
             else:
                 write(imm << shift)
             if emit is not None:
-                emit(DynInst(_IALU, rd, srcs, 0, 0, None, False, False,
-                             0, 0, pc))
+                emit(pc)
             return nxt
         return constant
 
@@ -476,8 +559,7 @@ class _Predecoded:
         op = ins.op
         rd, rs, rt = ins.rd, ins.rs, ins.rt
         fmt = op.fmt
-        fu = int(op.fu)
-        srcs = ins.reads
+        self._static(pc, int(op.fu), rd, ins.reads)
         if op is Opcode.DIV or op is Opcode.REM:
             fn = _divider(pc, op is Opcode.REM)
         elif op is Opcode.FDIV:
@@ -507,8 +589,7 @@ class _Predecoded:
             else:
                 write(value)
             if emit is not None:
-                emit(DynInst(fu, rd, srcs, 0, 0, None, False, False, 0, 0,
-                             pc))
+                emit(pc)
             return nxt
         return alu
 
@@ -518,12 +599,10 @@ class _Predecoded:
         op = ins.op
         is_load = op.is_load
         rd, rs, rt, imm = ins.rd, ins.rs, ins.rt, ins.imm
-        fu = int(op.fu)
-        dst = rd if is_load else NO_REG
-        srcs = ins.reads
-        size = ins.mem_size
         hint = ins.local
         sp_based = rs == _SP or rs == _FP
+        self._static(pc, int(op.fu), rd if is_load else NO_REG, ins.reads,
+                     ins.mem_size, hint, True, sp_based)
         int_base = rs >= FPR_BASE
         regs = vm.regs
         memory = vm.memory
@@ -533,23 +612,23 @@ class _Predecoded:
         words_get = words.get
         frames = vm._frames
         emit = self._emit
-        execs, local_execs = self._execs, self._local_execs
         record = None
         if emit is not None:
             self._mem_sites.append((pc, is_load, sp_based, hint is None))
+            addr_append = self._addrs.append
+            if sp_based:
+                frame_append = self._frame_ids.append
+                offset_append = self._offsets.append
 
-            def record(addr: int) -> None:
-                is_local = STACK_LIMIT <= addr < STACK_BASE
-                if sp_based:
-                    emit(DynInst(fu, dst, srcs, addr, size, hint, is_local,
-                                 True, frames[-1].frame_id,
-                                 addr - regs[_SP], pc))
-                else:
-                    emit(DynInst(fu, dst, srcs, addr, size, hint, is_local,
-                                 False, 0, 0, pc))
-                execs[pc] += 1
-                if is_local:
-                    local_execs[pc] += 1
+                def record(addr: int) -> None:
+                    emit(pc)
+                    addr_append(addr)
+                    frame_append(frames[-1].frame_id)
+                    offset_append(addr - regs[_SP])
+            else:
+                def record(addr: int) -> None:
+                    emit(pc)
+                    addr_append(addr)
 
         if is_load:
             inline, write = self._rd_rule(rd, op is not Opcode.LS)
@@ -615,19 +694,19 @@ class _Predecoded:
         op = ins.op
         rs = ins.rs
         target = ins.imm
-        srcs = ins.reads
         regs = vm.regs
         emit = self._emit
+        link = op is Opcode.JAL or op is Opcode.JALR
+        self._static(pc, _BRANCH, _RA if link else NO_REG, ins.reads)
 
         if op is Opcode.J:
             def jump() -> int:
                 if emit is not None:
-                    emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
-                                 False, 0, 0, pc))
+                    emit(pc)
                 return target
             return jump
 
-        if op is Opcode.JAL or op is Opcode.JALR:
+        if link:
             register = op is Opcode.JALR
             enter = vm._enter_frame
 
@@ -636,8 +715,7 @@ class _Predecoded:
                 regs[_RA] = nxt
                 enter(nxt)
                 if emit is not None:
-                    emit(DynInst(_BRANCH, _RA, srcs, 0, 0, None, False,
-                                 False, 0, 0, pc))
+                    emit(pc)
                 return dest
             return call
 
@@ -648,8 +726,7 @@ class _Predecoded:
                 dest = int(regs[rs])
                 leave(dest)
                 if emit is not None:
-                    emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
-                                 False, 0, 0, pc))
+                    emit(pc)
                 return dest
             return jump_register
 
@@ -665,8 +742,7 @@ class _Predecoded:
         def branch() -> int:
             taken = test(regs[rs], regs[rt])
             if emit is not None:
-                emit(DynInst(_BRANCH, NO_REG, srcs, 0, 0, None, False,
-                             False, 0, 0, pc))
+                emit(pc)
             return target if taken else nxt
         return branch
 
@@ -675,13 +751,13 @@ class _Predecoded:
         call = ins.imm
         regs = vm.regs
         emit = self._emit
-        srcs = ins.reads
+        self._static(pc, _SYSCALL,
+                     NO_REG if call == Syscall.EXIT else _V0, ins.reads)
 
         if call == Syscall.EXIT:
             def exit_() -> int:
                 if emit is not None:
-                    emit(DynInst(_SYSCALL, NO_REG, srcs, 0, 0, None, False,
-                                 False, 0, 0, pc))
+                    emit(pc)
                 raise VmExit(int(regs[_A0]))
             return exit_
 
@@ -709,18 +785,17 @@ class _Predecoded:
         def syscall() -> int:
             action()
             if emit is not None:
-                emit(DynInst(_SYSCALL, _V0, srcs, 0, 0, None, False, False,
-                             0, 0, pc))
+                emit(pc)
             return nxt
         return syscall
 
     def _nop(self, pc: int, nxt: int) -> Handler:
         emit = self._emit
+        self._static(pc, 0, NO_REG, ())
 
         def nop() -> int:
             if emit is not None:
-                emit(DynInst(0, NO_REG, (), 0, 0, None, False, False, 0, 0,
-                             pc))
+                emit(pc)
             return nxt
         return nop
 

@@ -15,6 +15,10 @@ Why this preserves the paper's behaviour: every effect the paper measures
 L1 conflict between stack and data — is a function of the *stream*
 (instruction mix, dependence structure, address patterns), not of program
 semantics.  The generator reproduces the stream.
+
+The generator appends each instruction's fields straight to the columns
+of the trace's :class:`~repro.vm.trace.Stream` and keeps the trace
+statistics in step as it goes, so no per-instruction object is built.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.errors import WorkloadError
 from repro.isa.opcodes import FuClass
 from repro.isa.program import DATA_BASE, STACK_BASE
 from repro.utils import make_rng, stable_hash
-from repro.vm.trace import DynInst, NO_REG, Trace
+from repro.vm.trace import NO_REG, Trace
 from repro.workloads.spec import WorkloadSpec
 
 _IALU = int(FuClass.IALU)
@@ -75,6 +79,10 @@ class SyntheticGenerator:
         self.length = length
         self.rng = make_rng(stable_hash(spec.name, seed))
         self.trace = Trace(spec.name)
+        stream = self.trace.insts
+        #: The stream's column appends, in ``Stream.COLUMNS`` order.
+        self._appends = tuple(getattr(stream, name).append
+                              for name in stream.COLUMNS)
         self._emitted = 0
         self._counts = {
             "load_local": 0, "load_global": 0,
@@ -167,8 +175,38 @@ class SyntheticGenerator:
 
     # -- emission ----------------------------------------------------------
 
-    def _emit(self, inst: DynInst) -> None:
-        self.trace.append(inst)
+    def _emit(self, fu: int, dst: int, srcs: Tuple[int, ...], pc: int = 0,
+              addr: int = 0, hint: Optional[bool] = None,
+              is_local: bool = False, sp_based: bool = False,
+              frame: int = 0, offset: int = 0) -> None:
+        """Append one instruction; a load or store is a 4-byte access
+        and is counted in the trace statistics."""
+        (fu_append, dst_append, srcs_append, addr_append, size_append,
+         hint_append, local_append, sp_append, frame_append, offset_append,
+         pc_append) = self._appends
+        fu_append(fu)
+        dst_append(dst)
+        srcs_append(srcs)
+        addr_append(addr)
+        hint_append(hint)
+        local_append(is_local)
+        sp_append(sp_based)
+        frame_append(frame)
+        offset_append(offset)
+        pc_append(pc)
+        if fu == _LOAD or fu == _STORE:
+            size_append(4)
+            stats = self.trace.stats
+            if fu == _LOAD:
+                stats.loads += 1
+                stats.local_loads += is_local
+            else:
+                stats.stores += 1
+                stats.local_stores += is_local
+            stats.sp_based_refs += sp_based
+            stats.ambiguous_refs += hint is None
+        else:
+            size_append(0)
         self._emitted += 1
         self._phase_pos += 1
         if self._phase_pos >= self._phase_period:
@@ -211,10 +249,10 @@ class SyntheticGenerator:
         frame = _Frame(self._next_frame_id, words, sp, budget, saves)
         self._next_frame_id += 1
         # the call itself
-        self._emit(DynInst(_BRANCH, srcs=self._srcs_int(1),
-                           pc=rng.randrange(1 << 16)))
+        srcs = self._srcs_int(1)
+        self._emit(_BRANCH, NO_REG, srcs, rng.randrange(1 << 16))
         # stack-pointer adjustment (real prologue ALU op)
-        self._emit(DynInst(_IALU, dst=_SP_REG, srcs=(_SP_REG,)))
+        self._emit(_IALU, _SP_REG, (_SP_REG,))
         self._stack.append(frame)
         stats = self.trace.stats
         stats.calls += 1
@@ -230,8 +268,8 @@ class SyntheticGenerator:
         # restore burst: loads matching the saves
         for offset in frame.saves:
             self._emit_local_load(frame, offset, save_restore=True)
-        self._emit(DynInst(_IALU, dst=_SP_REG, srcs=(_SP_REG,)))
-        self._emit(DynInst(_BRANCH, srcs=(31,)))
+        self._emit(_IALU, _SP_REG, (_SP_REG,))
+        self._emit(_BRANCH, NO_REG, (31,))
 
     # -- memory reference emission -------------------------------------------
 
@@ -258,12 +296,8 @@ class SyntheticGenerator:
             data = 16 + (offset >> 2) % 8
         else:
             data = self._srcs_int(1)[0]
-        self._emit(DynInst(
-            _STORE, srcs=(_SP_REG, data),
-            addr=addr, size=4, local_hint=hint, is_local=True,
-            sp_based=sp_based, frame_id=frame.frame_id,
-            offset=offset, pc=pc,
-        ))
+        self._emit(_STORE, NO_REG, (_SP_REG, data), pc, addr, hint, True,
+                   sp_based, frame.frame_id, offset)
         frame.store_times[offset] = self._emitted
 
     def _emit_local_load(self, frame: _Frame, offset: int,
@@ -276,12 +310,8 @@ class SyntheticGenerator:
             dst = 16 + (offset >> 2) % 8
         else:
             dst = self._dst_int()
-        self._emit(DynInst(
-            _LOAD, dst=dst, srcs=(_SP_REG,),
-            addr=addr, size=4, local_hint=hint, is_local=True,
-            sp_based=sp_based, frame_id=frame.frame_id,
-            offset=offset, pc=pc,
-        ))
+        self._emit(_LOAD, dst, (_SP_REG,), pc, addr, hint, True, sp_based,
+                   frame.frame_id, offset)
 
     def _body_local_store(self) -> None:
         frame = self._stack[-1]
@@ -352,20 +382,18 @@ class SyntheticGenerator:
     def _body_global_load(self) -> None:
         use_fp = self.spec.is_fp and self.rng.random() < 0.7
         dst = self._dst_fp() if use_fp else self._dst_int()
-        self._emit(DynInst(
-            _LOAD, dst=dst, srcs=self._addr_srcs(),
-            addr=self._global_addr(), size=4, local_hint=False,
-            is_local=False, pc=self.rng.randrange(1 << 16),
-        ))
+        srcs = self._addr_srcs()
+        addr = self._global_addr()
+        self._emit(_LOAD, dst, srcs, self.rng.randrange(1 << 16), addr,
+                   False)
 
     def _body_global_store(self) -> None:
         use_fp = self.spec.is_fp and self.rng.random() < 0.7
         data = self._srcs_fp(1)[0] if use_fp else self._srcs_int(1)[0]
-        self._emit(DynInst(
-            _STORE, srcs=(self._addr_srcs()[0], data),
-            addr=self._global_addr(), size=4, local_hint=False,
-            is_local=False, pc=self.rng.randrange(1 << 16),
-        ))
+        srcs = (self._addr_srcs()[0], data)
+        addr = self._global_addr()
+        self._emit(_STORE, NO_REG, srcs, self.rng.randrange(1 << 16), addr,
+                   False)
 
     # -- compute/branch emission -----------------------------------------------
 
@@ -379,11 +407,13 @@ class SyntheticGenerator:
             fu = _IMULT
         else:
             fu = _IALU
-        self._emit(DynInst(fu, dst=self._dst_int(), srcs=self._alu_srcs_int()))
+        dst = self._dst_int()
+        self._emit(fu, dst, self._alu_srcs_int())
 
     def _body_falu(self) -> None:
         fu = _FMUL if self.rng.random() < 0.4 else _FADD
-        self._emit(DynInst(fu, dst=self._dst_fp(), srcs=self._alu_srcs_fp()))
+        dst = self._dst_fp()
+        self._emit(fu, dst, self._alu_srcs_fp())
 
     def _body_branch(self) -> None:
         # Most branch conditions test values computed a while ago (loop
@@ -392,8 +422,7 @@ class SyntheticGenerator:
             srcs: Tuple[int, ...] = (6,)
         else:
             srcs = self._srcs_int(1)
-        self._emit(DynInst(_BRANCH, srcs=srcs,
-                           pc=self.rng.randrange(1 << 16)))
+        self._emit(_BRANCH, NO_REG, srcs, self.rng.randrange(1 << 16))
 
     # -- main loop ----------------------------------------------------------
 
@@ -463,6 +492,7 @@ class SyntheticGenerator:
             counts[key] += 1
             emitters[key]()
 
+        self.trace.stats.instructions = self._emitted
         return self.trace
 
     # Save/restore bursts bypass the steering loop, so fold their memory

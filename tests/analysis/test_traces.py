@@ -7,7 +7,7 @@ from repro.analysis import (
     working_set_words,
 )
 from repro.isa.opcodes import FuClass
-from repro.vm.trace import DynInst
+from repro.vm.trace import DynInst, Stream
 
 IALU = int(FuClass.IALU)
 LOAD = int(FuClass.LOAD)
@@ -32,45 +32,46 @@ def alu():
 
 
 def test_reuse_distance_basic():
-    trace = [store(STACK), alu(), alu(), load(STACK)]
+    trace = Stream.from_insts([store(STACK), alu(), alu(), load(STACK)])
     profile = reuse_distance_profile(trace)
     assert profile.total == 1
     assert profile.min() == 3
 
 
 def test_reuse_distance_latest_store_wins():
-    trace = [store(STACK), store(STACK), load(STACK)]
+    trace = Stream.from_insts([store(STACK), store(STACK), load(STACK)])
     profile = reuse_distance_profile(trace)
     assert profile.min() == 1
 
 
 def test_reuse_distance_skips_never_stored():
-    profile = reuse_distance_profile([load(STACK)])
+    profile = reuse_distance_profile(Stream.from_insts([load(STACK)]))
     assert profile.total == 0
 
 
 def test_reuse_distance_local_filter():
-    trace = [store(DATA, local=False), load(DATA, local=False)]
+    trace = Stream.from_insts([store(DATA, local=False),
+                               load(DATA, local=False)])
     assert reuse_distance_profile(trace, local_only=True).total == 0
     assert reuse_distance_profile(trace, local_only=False).total == 1
 
 
 def test_working_set_split():
-    trace = [store(STACK), load(STACK), load(STACK + 4),
-             load(DATA, local=False)]
+    trace = Stream.from_insts([store(STACK), load(STACK), load(STACK + 4),
+                               load(DATA, local=False)])
     local, other = working_set_words(trace)
     assert local == 2
     assert other == 1
 
 
 def test_burstiness_runs():
-    trace = [
+    trace = Stream.from_insts([
         store(STACK), store(STACK + 4), store(STACK + 8),  # run of 3
         load(DATA, local=False),
         load(STACK),                                        # run of 1
         alu(),                                              # doesn't break
         load(STACK + 4),                                    # still run -> 2
-    ]
+    ])
     profile = burstiness_profile(trace)
     assert profile.count(3) == 1
     assert profile.count(2) == 1
@@ -78,18 +79,18 @@ def test_burstiness_runs():
 
 
 def test_burstiness_trailing_run_counted():
-    profile = burstiness_profile([store(STACK)])
+    profile = burstiness_profile(Stream.from_insts([store(STACK)]))
     assert profile.count(1) == 1
 
 
 def test_classification_report_counts():
-    trace = [
+    trace = Stream.from_insts([
         load(STACK, local=True, hint=True),       # correct local hint
         load(DATA, local=False, hint=False),      # correct nonlocal hint
         load(STACK, local=True, hint=None),       # ambiguous, local
         load(DATA, local=False, hint=None),       # ambiguous, nonlocal
         load(DATA, local=False, hint=True),       # WRONG hint
-    ]
+    ])
     report = classification_report(trace)
     assert report.total == 5
     assert report.ambiguous == 2

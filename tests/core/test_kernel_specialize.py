@@ -23,6 +23,7 @@ from repro.core.stages import specialize
 from repro.mem.ports import PORT_POLICIES
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
 from repro.workloads.builder import build_trace
+from repro.vm.trace import Stream
 
 
 @pytest.fixture(autouse=True)
@@ -234,7 +235,7 @@ def _cold_kernel(config):
     from repro.core.stages.state import CoreState
 
     processor = Processor(config)
-    return specialize.kernel_for(processor, CoreState(processor, []))
+    return specialize.kernel_for(processor, CoreState(processor, Stream()))
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])

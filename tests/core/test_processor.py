@@ -13,7 +13,7 @@ from repro.perf.golden import diff_results
 from repro.perf.reference import ReferenceProcessor
 from repro.pipeline.memqueue import INF_SEQ, MemQueueEntry
 from repro.pipeline.rob import RobEntry
-from repro.vm.trace import DynInst
+from repro.vm.trace import DynInst, Stream
 
 IALU = int(FuClass.IALU)
 IDIV = int(FuClass.IDIV)
@@ -26,7 +26,7 @@ DATA_ADDR = 0x10000000
 
 def run(insts, **baseline_kwargs):
     config = MachineConfig.baseline(**baseline_kwargs)
-    return Processor(config).run(list(insts), "micro")
+    return Processor(config).run(Stream.from_insts(insts), "micro")
 
 
 def run_checked(insts, lsq_size=None, **baseline_kwargs):
@@ -38,8 +38,9 @@ def run_checked(insts, lsq_size=None, **baseline_kwargs):
             config.lsq_size = lsq_size
         return config
 
-    result = Processor(config()).run(list(insts), "micro")
-    expected = ReferenceProcessor(config()).run(list(insts), "micro")
+    stream = Stream.from_insts(insts)
+    result = Processor(config()).run(stream, "micro")
+    expected = ReferenceProcessor(config()).run(stream, "micro")
     assert diff_results("micro", "micro", expected, result) == []
     return result
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import MachineConfig
 from repro.core.processor import Processor
 from repro.isa.opcodes import FuClass
-from repro.vm.trace import DynInst
+from repro.vm.trace import DynInst, Stream
 
 IALU = int(FuClass.IALU)
 IMULT = int(FuClass.IMULT)
@@ -81,7 +81,7 @@ def machine_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(dyn_insts(), min_size=1, max_size=120), machine_configs())
 def test_any_trace_completes_with_conserved_accounting(insts, config):
-    result = Processor(config).run(insts, "fuzz")
+    result = Processor(config).run(Stream.from_insts(insts), "fuzz")
     assert result.instructions == len(insts)
     assert result.cycles >= 1
     c = result.counters
@@ -97,8 +97,8 @@ def test_any_trace_completes_with_conserved_accounting(insts, config):
 @given(st.lists(dyn_insts(), min_size=1, max_size=80))
 def test_simulation_deterministic(insts):
     config = MachineConfig.baseline(2, 2, fast_forwarding=True, combining=2)
-    a = Processor(config).run(list(insts), "a")
-    b = Processor(config).run(list(insts), "b")
+    a = Processor(config).run(Stream.from_insts(insts), "a")
+    b = Processor(config).run(Stream.from_insts(insts), "b")
     assert a.cycles == b.cycles
     assert a.counters.as_dict() == b.counters.as_dict()
 
@@ -108,6 +108,7 @@ def test_simulation_deterministic(insts):
 def test_prefix_takes_no_longer_than_whole(insts):
     """Simulating a prefix never takes more cycles than the full trace."""
     config = MachineConfig.baseline(2, 0)
-    full = Processor(config).run(list(insts), "full")
-    half = Processor(config).run(list(insts[: len(insts) // 2 + 1]), "half")
+    full = Processor(config).run(Stream.from_insts(insts), "full")
+    half = Processor(config).run(
+        Stream.from_insts(insts[: len(insts) // 2 + 1]), "half")
     assert half.cycles <= full.cycles

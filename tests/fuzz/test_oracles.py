@@ -66,14 +66,14 @@ def test_replay_oracle_clean_on_healthy_toolchain():
 
 
 def test_replay_oracle_catches_format_field_loss(monkeypatch):
-    # Sabotage the decoder: collapse the local_hint tri-state so every
+    # Sabotage the decoder: collapse the hint tri-state so every
     # replayed access looks compiler-classified non-local.  Architectural
     # results are untouched (hints only steer the LVAQ), so only the
     # replay oracle's timing diff can see the field loss.
     from repro.trace import format as trace_format
 
-    monkeypatch.setattr(trace_format, "_HINT_BY_CODE",
-                        (False, False, False))
+    monkeypatch.setattr(trace_format, "_HINT_BY_FLAGS",
+                        (False,) * len(trace_format._HINT_BY_FLAGS))
     source = generate_program(4).source()
     divergences = run_oracles(source, oracles=("replay",))
     assert divergences

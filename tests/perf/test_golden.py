@@ -30,6 +30,7 @@ from repro.perf.golden import (
 )
 from repro.perf.reference import ReferenceProcessor
 from repro.workloads.builder import build_trace
+from repro.vm.trace import Stream
 
 from tests.core.test_processor_fuzz import dyn_insts, machine_configs
 
@@ -84,8 +85,9 @@ def test_fig9_config_is_the_decoupled_optimized_machine():
 @given(st.lists(dyn_insts(), min_size=1, max_size=120), machine_configs())
 def test_randomized_equivalence(insts, config):
     """Hypothesis sweep: random traces, random machines, zero divergence."""
-    expected = ReferenceProcessor(config).run(list(insts), "fuzz")
-    actual = Processor(config).run(list(insts), "fuzz")
+    stream = Stream.from_insts(insts)
+    expected = ReferenceProcessor(config).run(stream, "fuzz")
+    actual = Processor(config).run(stream, "fuzz")
     assert actual.cycles == expected.cycles
     assert actual.instructions == expected.instructions
     assert actual.counters.as_dict() == expected.counters.as_dict()

@@ -158,3 +158,33 @@ def test_missing_section_rejected(data):
 def test_nonexistent_file_rejected(tmp_path):
     with pytest.raises(TraceError, match="cannot read trace"):
         read_trace(str(tmp_path / "absent.trace"))
+
+
+def _section_offset(data: bytes, name: str) -> int:
+    """Byte offset of section *name*'s table within *data*."""
+    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    header = json.loads(data[_HEADER_START:_HEADER_START + header_len])
+    section = next(s for s in header["sections"] if s["name"] == name)
+    return _HEADER_START + header_len + section["offset"]
+
+
+def test_invalid_flags_byte_rejected(data):
+    broken = bytearray(data)
+    broken[_section_offset(data, "flags")] = 0xFF
+    with pytest.raises(TraceError, match="invalid byte"):
+        decode_trace(bytes(broken), verify=False)
+
+
+def test_inconsistent_operand_counts_rejected(data):
+    broken = bytearray(data)
+    broken[_section_offset(data, "nsrc")] += 1
+    with pytest.raises(TraceError, match="operand counts sum"):
+        decode_trace(bytes(broken), verify=False)
+
+
+def test_unencodable_stream_rejected():
+    from repro.vm.trace import DynInst, Stream, Trace
+
+    trace = Trace("wide", Stream.from_insts([DynInst(1, dst=300)]))
+    with pytest.raises(TraceError, match="does not fit"):
+        encode_trace(trace)

@@ -19,6 +19,7 @@ from repro.trace.mix import (
     MixResult,
     run_mix_jobs,
 )
+from repro.vm.trace import Stream
 from repro.workloads.builder import build_trace
 
 
@@ -26,7 +27,7 @@ def test_one_program_mix_is_bit_identical(small_li_trace):
     """A 1-program mix must reproduce the solo run exactly — the shared
     hierarchy with one core attached is the solo hierarchy — down to an
     empty stream, whose kernel simulates no cycle at all."""
-    streams = (small_li_trace.insts, [], small_li_trace.insts[:1])
+    streams = (small_li_trace.insts, Stream(), small_li_trace.insts[:1])
     for name, _kwargs in GOLDEN_CONFIGS:
         config = golden_config(name)
         for insts in streams:

@@ -2,8 +2,8 @@
 
 The sidecar (:mod:`repro.trace.predecode`) is a derived artifact, so
 its whole contract is: deterministic bytes, loud failure on any defect,
-and a materialized stream indistinguishable from decoding the raw
-trace — on every golden-matrix configuration.
+and a loaded stream indistinguishable from decoding the raw trace — on
+every golden-matrix configuration.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from repro.trace.predecode import (
     MAGIC,
     decode_predecoded,
     encode_predecoded,
-    materialized_insts,
+    load_stream,
     predecode_trace,
     read_predecoded,
     write_predecoded,
 )
 from repro.trace.replay import replay, replay_fast, replay_insts
-
-_FIELDS = ("fu", "dst", "srcs", "addr", "size", "local_hint", "is_local",
-           "sp_based", "frame_id", "offset", "pc")
+from repro.vm.trace import Stream
 
 
 @pytest.fixture(autouse=True)
@@ -68,38 +66,43 @@ def test_round_trip_is_deterministic(li_blob):
 
 
 def test_derived_tables_are_consistent(li_blob, small_li_trace):
-    from repro.isa.opcodes import LATENCY_BY_INT
-
+    """Every sidecar table is one the loader reads: the per-instruction
+    columns plus the distinct operand-list table ``src_id`` indexes."""
     pdt = predecode_trace(li_blob)
     t = pdt.tables
-    assert pdt.n == len(small_li_trace.insts)
-    assert len(t["src_off"]) == pdt.n + 1
-    assert t["src_off"][pdt.n] == len(t["srcs"])
-    for i, inst in enumerate(small_li_trace.insts):
-        assert t["lat"][i] == LATENCY_BY_INT[inst.fu]
-        assert t["word"][i] == inst.addr >> 2
-        assert t["line"][i] == inst.addr >> 5
-        lo, hi = t["src_off"][i], t["src_off"][i + 1]
-        assert tuple(t["srcs"][lo:hi]) == inst.srcs
+    stream = small_li_trace.insts
+    assert pdt.n == len(stream)
+    assert sorted(t) == sorted(name for name, _ in predecode.SECTIONS)
+    offsets = [0]
+    for count in t["src_count"]:
+        offsets.append(offsets[-1] + count)
+    assert offsets[-1] == len(t["src_regs"])
+    lists = [tuple(t["src_regs"][lo:hi])
+             for lo, hi in zip(offsets, offsets[1:])]
+    assert len(set(lists)) == len(lists)  # each distinct list once
+    assert [lists[i] for i in t["src_id"]] == stream.srcs
+    for name in ("fu", "dst", "addr", "size", "frame", "offset", "pc"):
+        assert t[name].tolist() == getattr(stream, name)
 
 
 def test_materialize_matches_raw_decode(li_blob):
     raw = decode_trace(li_blob).insts
-    got = materialized_insts(predecode_trace(li_blob))
+    got = load_stream(predecode_trace(li_blob))
     assert len(raw) == len(got)
-    for a, b in zip(raw, got):
-        for field in _FIELDS:
-            assert getattr(a, field) == getattr(b, field)
+    for column in Stream.COLUMNS:
+        assert getattr(got, column) == getattr(raw, column), column
+    # Equal operand lists share one tuple.
+    assert len({id(srcs) for srcs in got.srcs}) == len(set(got.srcs))
 
 
 def test_materialization_is_memoized(li_blob):
     pdt = predecode_trace(li_blob)
-    first = materialized_insts(pdt)
-    again = materialized_insts(decode_predecoded(encode_predecoded(pdt)))
+    first = load_stream(pdt)
+    again = load_stream(decode_predecoded(encode_predecoded(pdt)))
     assert again is first
-    assert predecode.materialized_cached(pdt.source_sha256) is first
+    assert predecode.cached_stream(pdt.source_sha256) is first
     predecode.clear_materialized()
-    assert predecode.materialized_cached(pdt.source_sha256) is None
+    assert predecode.cached_stream(pdt.source_sha256) is None
 
 
 def test_bad_magic_raises(li_blob):
@@ -148,6 +151,14 @@ def test_corrupt_trace_refused_at_predecode(li_blob):
         predecode_trace(bytes(broken))
 
 
+def test_unknown_functional_unit_refused_at_predecode():
+    from repro.vm.trace import DynInst, Trace
+
+    trace = Trace("bad-fu", Stream.from_insts([DynInst(99, dst=8)]))
+    with pytest.raises(TraceError, match="unknown functional-unit class"):
+        predecode_trace(encode_trace(trace))
+
+
 def test_file_round_trip(li_blob, tmp_path):
     pdt = predecode_trace(li_blob)
     path = str(tmp_path / "li.pdt")
@@ -167,8 +178,8 @@ def test_sidecar_replay_matches_raw_replay(notation, small_li_trace,
     config = golden_config(notation)
     expected = Processor(config).run(
         decode_trace(li_blob).insts, "130.li")
-    insts = materialized_insts(predecode_trace(li_blob))
-    actual = Processor(golden_config(notation)).run(insts, "130.li")
+    stream = load_stream(predecode_trace(li_blob))
+    actual = Processor(golden_config(notation)).run(stream, "130.li")
     assert diff_results("130.li", notation, expected, actual) == []
 
 
@@ -177,8 +188,8 @@ def test_sidecar_replay_second_workload(small_vortex_trace):
     config = golden_config("2+2:opt")
     expected = Processor(config).run(decode_trace(blob).insts,
                                      "147.vortex")
-    insts = materialized_insts(predecode_trace(blob))
-    actual = Processor(golden_config("2+2:opt")).run(insts, "147.vortex")
+    stream = load_stream(predecode_trace(blob))
+    actual = Processor(golden_config("2+2:opt")).run(stream, "147.vortex")
     assert diff_results("147.vortex", "2+2:opt", expected, actual) == []
 
 
@@ -235,3 +246,24 @@ def test_store_derives_and_revalidates_sidecar(tmp_path):
     assert read_predecoded(sidecar).source_sha256 == good.source_sha256
     # No stored trace -> no sidecar.
     assert store.ensure_predecoded("0" * 40) is None
+
+
+def test_old_version_sidecar_is_rederived(tmp_path):
+    """A sidecar of another layout version (e.g. version 1, which wrote
+    the unread ``lat``/``word``/``line`` tables) is refused and
+    rewritten, like a stale one."""
+    from repro.trace.capture import TraceJob, TraceStore, capture_trace
+
+    job = TraceJob("mini.qsort", seed=3)
+    capture_trace(job, cache_dir=str(tmp_path))
+    store = TraceStore(str(tmp_path))
+    sidecar = store.predecoded_path(job.key)
+    with open(sidecar, "rb") as handle:
+        current = handle.read()
+    with open(sidecar, "wb") as handle:
+        handle.write(_mutate_header(current, version=1))
+    with pytest.raises(TraceError, match="version"):
+        read_predecoded(sidecar)
+    assert store.ensure_predecoded(job.key) == sidecar
+    with open(sidecar, "rb") as handle:
+        assert handle.read() == current

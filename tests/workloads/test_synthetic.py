@@ -129,3 +129,44 @@ def test_integer_programs_no_fp(traces):
 def test_bad_length_rejected():
     with pytest.raises(WorkloadError):
         SyntheticGenerator(get_spec("130.li"), 0)
+
+
+#: ``payload_sha256`` of ``encode_trace(generate_trace(spec, 4000, 1))``
+#: per program, recorded before the generator appended columns.  A change
+#: in RNG consumption, field values or trace encoding moves a digest.
+PINNED_PAYLOADS = {
+    "099.go": "9ad82df66971146448bc9271c800910b"
+              "1f453e5a9a778ce71db0c77324a39110",
+    "124.m88ksim": "99159995097be058c8051c3f7f7d0125"
+                   "f14f5696f962709fc1d54141c39bfc3d",
+    "126.gcc": "5856c0e97fd222569bf345a26813481c"
+               "e55d4dd4753e7e18e2c0a35775076904",
+    "129.compress": "506dfae814eb337ae496bec9c4f67241"
+                    "d580ca5120c85ff8b5ed06ce84c898c8",
+    "130.li": "b6bff1f67f187e79b73a0c9c31b493d5"
+              "7ae3e4849926a0eb30c35ff022473f47",
+    "132.ijpeg": "cd20c765aa8d1acd481f3a8d634604f0"
+                 "8db26ac9080e01c57eb10ccf35c91817",
+    "134.perl": "7930501a8c06a441ca955c645e33eaf8"
+                "31971008afbd67714ab70798d771451a",
+    "147.vortex": "05ef97f56241d7b83d3f8849fa782e9e"
+                  "f7f21a7569b4d6240fb72a6d62cca194",
+    "101.tomcatv": "acc01ac48cdaac7679cdd130ed38bdd1"
+                   "7463a9de3f865b3416345caa93403055",
+    "102.swim": "6756e350067969423e3a4f44d86c3fbc"
+                "cd809a891dc62fc1b40e9605458bbdab",
+    "103.su2cor": "116b8cbb8384634ce65b0e884e75d1e2"
+                  "abe84fcf51dd4d22f228a06cc9772863",
+    "107.mgrid": "a249df0b20b6e74a6dbaa425d958dee3"
+                 "7c72a257e8cfe1c35472d96387f47e96",
+}
+
+
+@pytest.mark.parametrize("name", ALL_PROGRAMS)
+def test_stream_is_pinned(name):
+    """The generator's stream for seed 1 is fixed across versions."""
+    from repro.trace.format import _parse_header, encode_trace
+
+    blob = encode_trace(generate_trace(get_spec(name), 4000, seed=1))
+    header, _offset = _parse_header(blob, name)
+    assert header["payload_sha256"] == PINNED_PAYLOADS[name]
