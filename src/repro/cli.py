@@ -426,15 +426,6 @@ def cmd_analyze(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_serve(args) -> int:
-    from repro.runtime.service import serve_forever
-
-    return serve_forever(
-        host=args.host, port=args.port, jobs=args.jobs,
-        cache_dir=args.cache_dir, no_cache=args.no_cache,
-        timeout=args.timeout, retries=args.retries, batch=args.batch)
-
-
 def cmd_sweep(args) -> int:
     from repro.runtime.sweep import (SweepSpec, expand, format_report,
                                      run_sweep)
@@ -463,8 +454,7 @@ def cmd_sweep(args) -> int:
         no_cache=args.no_cache, timeout=args.timeout,
         budget_points=args.budget_points,
         budget_seconds=args.budget_seconds,
-        manifest_path=args.manifest, service_url=args.service,
-        chunk=args.chunk, progress=progress)
+        manifest_path=args.manifest, chunk=args.chunk, progress=progress)
     print(format_report(spec, report))
     return 0 if report.failed == 0 else 1
 
@@ -769,27 +759,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="treat warnings as failures")
     ana_p.set_defaults(func=cmd_analyze)
 
-    serve_p = sub.add_parser(
-        "serve", help="run the local async job service (see docs/runtime.md)")
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=7399,
-                         help="TCP port (default 7399; 0 = ephemeral)")
-    serve_p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                         help="warm worker-pool size (default 1)")
-    serve_p.add_argument("--cache-dir", metavar="DIR",
-                         help="result store root (default: "
-                              "$REPRO_CACHE_DIR if set, else uncached)")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="disable the result store")
-    serve_p.add_argument("--timeout", type=float, default=None,
-                         help="per-job deadline in seconds")
-    serve_p.add_argument("--retries", type=int, default=1,
-                         help="retries per failed job (default 1)")
-    serve_p.add_argument("--batch", type=int, default=1,
-                         help="jobs per worker round trip (default 1)")
-    serve_p.set_defaults(func=cmd_serve)
-
     sweep_p = sub.add_parser(
         "sweep",
         help="budgeted design-space sweep: ports x frontend x LVAQ x opt")
@@ -814,7 +783,8 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=1,
                          help="trace-generation seed (default 1)")
     sweep_p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                         help="worker processes for the local engine")
+                         help="worker processes; N > 1 keeps one warm "
+                              "pool for the whole sweep (default 1)")
     sweep_p.add_argument("--cache-dir", metavar="DIR",
                          help="result store root (default: "
                               "$REPRO_CACHE_DIR if set, else uncached)")
@@ -829,11 +799,9 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--manifest", metavar="PATH",
                          help="resumable sweep manifest (JSON); re-run "
                               "with the same path to continue")
-    sweep_p.add_argument("--service", metavar="URL",
-                         help="submit points to a running repro-cc serve "
-                              "instead of simulating locally")
     sweep_p.add_argument("--chunk", type=int, default=8,
-                         help="points per engine/service batch (default 8)")
+                         help="points per engine run; budgets are checked "
+                              "between chunks (default 8)")
     sweep_p.add_argument("--dry-run", action="store_true",
                          help="print the expanded job payloads and exit")
     sweep_p.add_argument("--quiet", action="store_true",

@@ -19,6 +19,7 @@ from repro.fuzz.oracles import ALL_ORACLES, Divergence, run_oracles
 from repro.runtime.engine import EngineReport, JobEngine, ProgressFn
 from repro.runtime.registry import JobKind, register_kind
 from repro.runtime.signature import canonical_json, digest
+from repro.runtime.store import runtime_store
 
 #: Seeds per shard: large enough to amortize worker-process startup,
 #: small enough that a campaign of a few hundred seeds still fans out.
@@ -160,20 +161,6 @@ def make_shards(seed: int, count: int,
     return shards
 
 
-def fuzz_cache(cache_dir: Optional[str] = None):
-    """The campaign result store (None when caching is off).
-
-    Mirrors ``RuntimeSession``'s policy: an explicit directory wins, then
-    ``$REPRO_CACHE_DIR``, else no store — fuzzing stays side-effect-free
-    unless the caller opts in.  Fuzz shards share the sharded
-    :class:`repro.runtime.store.ResultStore` with every other job kind;
-    the registered ``result_type`` keeps families from cross-hitting.
-    """
-    from repro.runtime.store import runtime_store
-
-    return runtime_store(cache_dir)
-
-
 def run_campaign(
     seed: int = 0,
     count: int = 200,
@@ -196,7 +183,7 @@ def run_campaign(
     shards = make_shards(seed, count, shard_size=shard_size,
                          oracles=oracles, size=size,
                          max_instructions=max_instructions)
-    cache = None if no_cache else fuzz_cache(cache_dir)
+    cache = None if no_cache else runtime_store(cache_dir)
     engine = JobEngine(jobs=jobs, cache=cache, timeout=timeout,
                        progress=progress)
     report = engine.run(shards, execute=execute_fuzz_job)
@@ -209,32 +196,4 @@ def run_campaign(
     return CampaignReport(count, divergences, report)
 
 
-def fuzz_job_from_payload(payload: Dict[str, Any]) -> FuzzJob:
-    """The ``fuzz`` kind's submission decoder (one shard per payload)."""
-    return FuzzJob(
-        int(payload.get("seed_start", 0)),
-        int(payload.get("count", DEFAULT_SHARD_SIZE)),
-        oracles=tuple(payload.get("oracles", ALL_ORACLES)),
-        size=int(payload.get("size", 12)),
-        max_instructions=int(payload.get("max_instructions", 2_000_000)),
-    )
-
-
-def encode_fuzz_result(result: FuzzShardResult) -> Dict[str, Any]:
-    """The ``fuzz`` kind's JSON rendering: shard span plus divergences."""
-    return {
-        "seed_start": result.seed_start,
-        "count": result.count,
-        "clean": result.clean,
-        "divergences": [
-            {"seed": d.seed, "oracle": d.oracle, "detail": d.detail}
-            for d in result.divergences
-        ],
-    }
-
-
-register_kind(JobKind(
-    "fuzz", FuzzJob, FuzzShardResult, execute_fuzz_job,
-    decode_spec=fuzz_job_from_payload,
-    encode_result=encode_fuzz_result,
-))
+register_kind(JobKind("fuzz", FuzzJob, FuzzShardResult, execute_fuzz_job))

@@ -1,26 +1,24 @@
-"""repro.runtime — a layered, cached, parallel simulation job service.
+"""repro.runtime — a layered, cached, parallel simulation job runtime.
 
 The experiment suite is a large sweep of (workload x machine-config)
 simulations, and several figures share configurations (the (2+0) baseline
 appears in Figures 7, 9, 10 and 11).  This package turns those sweeps into
 a deduplicated job graph executed by warm worker pools over a sharded
-content-addressed result store, with an async service and a
-design-space-exploration driver on top.  The layers, bottom up:
+content-addressed result store, with a design-space-exploration driver
+on top.  The layers, bottom up:
 
 * :mod:`repro.runtime.signature` — stable content-addressed keys derived
   from the config dataclasses' fields plus a code-version salt;
 * :mod:`repro.runtime.registry`  — the :class:`JobKind` registry: one
   protocol (spec/execute/result/codec) for every family of work;
 * :mod:`repro.runtime.job`       — the :class:`SimJob`/:class:`MixJob`
-  specs and the wire-payload codecs;
+  specs and the sweep's payload codecs;
 * :mod:`repro.runtime.store`     — the sharded :class:`ResultStore`
   of results and captured traces (per-shard indexes, integrity verify,
   LRU GC);
 * :mod:`repro.runtime.engine`    — the :class:`WorkerPool`,
   :class:`JobEngine`, and the :class:`RuntimeSession` facade used by
   ``experiments.common``;
-* :mod:`repro.runtime.service`   — the local async job service behind
-  ``repro-cc serve`` (submit/status/result/stream over JSON);
 * :mod:`repro.runtime.sweep`     — the budgeted DSE sweep driver behind
   ``repro-cc sweep``;
 * :mod:`repro.runtime.manifest`  — run manifest + live progress reporting;

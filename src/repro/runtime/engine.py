@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.runtime.registry import kind_for
 from repro.runtime.signature import code_salt
-from repro.runtime.worker import execute_any, run_job_batch, run_with_stats
+from repro.runtime.worker import execute_any, run_with_stats
 
 ProgressFn = Callable[[str, "JobOutcome", int, int], None]
 
@@ -72,8 +72,8 @@ class WorkerPool:
     The pool is the unit of *warmth*: each worker process accumulates the
     per-process trace memo, the specialized-kernel cache, and the streams
     loaded from pre-decoded sidecars as it executes jobs.  A caller that
-    keeps one ``WorkerPool`` across engine runs (the job service does)
-    gets second submissions that recompile nothing.
+    keeps one ``WorkerPool`` across engine runs (a sweep does, one run per
+    chunk) gets second submissions that recompile nothing.
 
     The executor is created lazily and can be :meth:`rebuild`-t after a
     worker death or hang — rebuilding sacrifices the warm state, which is
@@ -107,8 +107,9 @@ class WorkerPool:
         pool = self.executor()
         if pool is None:
             raise RuntimeError("no process pool available")
+        future = pool.submit(fn, *args)
         self.submissions += 1
-        return pool.submit(fn, *args)
+        return future
 
     def rebuild(self) -> Optional[ProcessPoolExecutor]:
         """Kill the workers (hung ones included) and start fresh ones."""
@@ -210,9 +211,8 @@ class EngineReport:
         """Summed warm-state movement across every executed job.
 
         All-zero on a fully warm repeat (every trace, kernel, and
-        sidecar came out of per-process memos) — the number the service
-        surfaces so a warm second submission can *prove* it recompiled
-        nothing.
+        sidecar came out of per-process memos) — the number that lets a
+        warm second submission *prove* it recompiled nothing.
         """
         total = {name: 0 for name in WARM_COUNTERS}
         for outcome in self.outcomes.values():
@@ -233,14 +233,12 @@ class JobEngine:
     def __init__(self, jobs: int = 1, cache=None,
                  timeout: Optional[float] = None, retries: int = 1,
                  progress: Optional[ProgressFn] = None,
-                 max_pool_rebuilds: int = 3, batch: int = 1,
+                 max_pool_rebuilds: int = 3,
                  pool: Optional[WorkerPool] = None,
                  backoff_base: float = 0.05, backoff_cap: float = 2.0,
                  sleep: Callable[[float], None] = time.sleep):
         if jobs < 1:
             raise ValueError("worker count must be >= 1")
-        if batch < 1:
-            raise ValueError("batch size must be >= 1")
         self.jobs = jobs
         # The ResultStore (anything with lookup/store/flush), or None.
         self.cache = cache
@@ -248,7 +246,6 @@ class JobEngine:
         self.retries = retries
         self.progress = progress
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.batch = batch
         # A caller-owned warm pool; None means each run builds (and
         # tears down) an ephemeral one.
         self.pool = pool
@@ -292,11 +289,7 @@ class JobEngine:
             # single pending job still goes parallel when one is set.
             if self.jobs > 1 and (len(pending) > 1
                                   or self.timeout is not None):
-                if self.batch > 1:
-                    self._run_pool_batched(unique, pending, outcomes,
-                                           execute)
-                else:
-                    self._run_pool(unique, pending, outcomes, execute)
+                self._run_pool(unique, pending, outcomes, execute)
             else:
                 self._run_inline(unique, pending, outcomes, execute)
         if self.cache is not None:
@@ -364,12 +357,6 @@ class JobEngine:
 
     # -- parallel path ------------------------------------------------------
 
-    def _acquire_pool(self):
-        """(pool, owned): the caller's warm pool, or a fresh ephemeral one."""
-        if self.pool is not None:
-            return self.pool, False
-        return WorkerPool(self.jobs), True
-
     def _rebuild_pool(self, worker_pool: WorkerPool
                       ) -> Optional[ProcessPoolExecutor]:
         self._rebuilds += 1
@@ -379,110 +366,12 @@ class JobEngine:
             return None
         return worker_pool.rebuild()
 
-    def _run_pool_batched(self, unique: Dict[str, Any],
-                          pending: List[str],
-                          outcomes: Dict[str, JobOutcome],
-                          execute: Callable[[Any], Any]) -> None:
-        """Chunked fan-out: ``batch`` jobs per worker round trip.
-
-        One submission amortizes IPC plus the worker's warm per-process
-        state (trace memo, specialized-kernel cache).  This loop only
-        handles the happy path; any anomaly — a worker death, a blown
-        deadline, a per-job error — routes the affected keys back
-        through the proven single-job pool machinery, which owns
-        retries and pool rebuilds.
-        """
-        worker_pool, owned = self._acquire_pool()
-        if worker_pool.executor() is None:
-            if owned:
-                worker_pool.stop()
-            self._run_inline(unique, pending, outcomes, execute)
-            return
-        chunks = deque(
-            pending[i:i + self.batch]
-            for i in range(0, len(pending), self.batch))
-        in_flight: Dict[object, tuple] = {}  # future -> (keys, t0, ddl)
-        fallback: List[str] = []
-        poisoned = False
-        while chunks or in_flight:
-            while chunks and len(in_flight) < self.jobs:
-                chunk = chunks.popleft()
-                now = time.monotonic()
-                deadline = (now + self.timeout * len(chunk)
-                            if self.timeout is not None else None)
-                try:
-                    future = worker_pool.submit(
-                        run_job_batch, execute,
-                        [unique[key] for key in chunk])
-                except Exception:  # noqa: BLE001 - pool broken
-                    poisoned = True
-                    fallback.extend(chunk)
-                    continue
-                in_flight[future] = (chunk, now, deadline)
-            if not in_flight:
-                continue
-            wait_for = None
-            now = time.monotonic()
-            deadlines = [d for (_k, _t, d) in in_flight.values()
-                         if d is not None]
-            if deadlines:
-                wait_for = max(0.0, min(deadlines) - now)
-            done, _ = wait(set(in_flight), timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
-            anomaly = False
-            for future in done:
-                chunk, _t0, _deadline = in_flight.pop(future)
-                try:
-                    statuses = future.result()
-                except Exception:  # noqa: BLE001 - incl. broken pool
-                    anomaly = True
-                    poisoned = True
-                    fallback.extend(chunk)
-                    continue
-                for key, (status, payload, wall,
-                          stats) in zip(chunk, statuses):
-                    if status == "ok":
-                        self._finish(outcomes, key,
-                                     JobOutcome(unique[key], "ran",
-                                                payload, wall, 1,
-                                                "pool", stats=stats))
-                    else:
-                        # Give the failure the single-job path's
-                        # full retry budget.
-                        fallback.append(key)
-            if not done:
-                now = time.monotonic()
-                if any(d is not None and now >= d
-                       for (_k, _t, d) in in_flight.values()):
-                    anomaly = True
-                    poisoned = True
-            if anomaly:
-                for _future, (chunk, _t0, _d) in in_flight.items():
-                    fallback.extend(chunk)
-                in_flight.clear()
-                while chunks:
-                    fallback.extend(chunks.popleft())
-        if poisoned:
-            # Hung or dead workers: fresh processes before the fallback
-            # path touches the pool (the warm state died with them).
-            worker_pool.rebuild()
-        if fallback:
-            self._run_pool_with(worker_pool, owned, unique, fallback,
-                                outcomes, execute)
-        elif owned:
-            worker_pool.stop()
-
     def _run_pool(self, unique: Dict[str, Any], pending: List[str],
                   outcomes: Dict[str, JobOutcome],
                   execute: Callable[[Any], Any]) -> None:
-        worker_pool, owned = self._acquire_pool()
-        self._run_pool_with(worker_pool, owned, unique, pending, outcomes,
-                            execute)
-
-    def _run_pool_with(self, worker_pool: WorkerPool, owned: bool,
-                       unique: Dict[str, Any], pending: List[str],
-                       outcomes: Dict[str, JobOutcome],
-                       execute: Callable[[Any], Any]) -> None:
+        # The caller's warm pool, or an ephemeral one torn down after.
+        owned = self.pool is None
+        worker_pool = WorkerPool(self.jobs) if owned else self.pool
         pool = worker_pool.executor()
         if pool is None:
             if owned:
@@ -506,14 +395,13 @@ class JobEngine:
                     deadline = (now + self.timeout
                                 if self.timeout is not None else None)
                     try:
-                        future = pool.submit(run_with_stats, execute,
-                                             unique[key])
+                        future = worker_pool.submit(run_with_stats, execute,
+                                                    unique[key])
                     except Exception:  # noqa: BLE001 - pool already broken
                         pool = self._rebuild_pool(worker_pool)
                         queue.appendleft(key)
                         attempts[key] -= 1
                         break
-                    worker_pool.submissions += 1
                     in_flight[future] = (key, now, deadline)
                 if not in_flight:
                     continue
@@ -597,26 +485,25 @@ class JobEngine:
 
 
 class RuntimeSession:
-    """The facade ``experiments.common``, the CLIs, and the service use.
+    """The facade ``experiments.common``, the CLIs, and the sweep use.
 
     Owns the result-store handle, the engine knobs, and — when asked —
     a persistent :class:`WorkerPool` whose warm workers survive across
     engine runs; ``simulate`` is the single-job fast path ``run_sim``
     uses, ``prewarm`` is the batch entry the experiment runner uses to
-    fill the store in parallel.
+    fill the store in parallel and the sweep runs each chunk through.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  no_cache: bool = False, timeout: Optional[float] = None,
                  retries: int = 1, progress: Optional[ProgressFn] = None,
-                 batch: int = 1, keep_pool: bool = False):
+                 keep_pool: bool = False):
         from repro.runtime.store import runtime_store
 
         self.jobs = max(1, jobs)
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
-        self.batch = max(1, batch)
         self.salt = code_salt()
         self.cache = None if no_cache else runtime_store(cache_dir,
                                                          self.salt)
@@ -629,8 +516,7 @@ class RuntimeSession:
         """A fresh engine with this session's knobs (pool shared)."""
         return JobEngine(jobs=self.jobs, cache=self.cache,
                          timeout=self.timeout, retries=self.retries,
-                         progress=self.progress, batch=self.batch,
-                         pool=self.pool)
+                         progress=self.progress, pool=self.pool)
 
     def simulate(self, job) -> Any:
         """Run one job inline, going through the store."""
@@ -669,9 +555,9 @@ def run_sim_jobs(jobs: Iterable[Any], engine_jobs: int = 1,
                  timeout: Optional[float] = None):
     """Run *jobs* through the engine; returns ``(job, result)`` in order.
 
-    The canonical **direct** path — the service smoke tests compare
-    their streamed results byte-for-byte against this.  Raises
-    :class:`repro.errors.SimulationError` if any job failed.
+    The canonical **direct** path: one inline or ephemeral-pool run,
+    no warm state kept.  Raises :class:`repro.errors.SimulationError`
+    if any job failed.
     """
     from repro.errors import SimulationError
 

@@ -8,9 +8,9 @@ so editing the file naturally misses the cache).
 
 Every job spec advertises its family with a ``kind`` class attribute
 (see :mod:`repro.runtime.registry`); the payload codecs at the bottom
-turn service-submission JSON into specs — the single place a machine
-configuration is parsed from the wire (``repro-cc`` and the sweep
-driver both delegate here).
+turn a sweep point's JSON payload into a spec — the single place a
+machine configuration is parsed from its JSON form (``repro-cc`` and
+the sweep driver both delegate here).
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ class MixJob:
 
 # -- machine-config and job payload codecs ----------------------------------
 #
-# The service API and the sweep driver describe machine configurations as
-# JSON: either a bare notation string ("2+2:opt") or an object
+# The sweep driver describes machine configurations as JSON: either a
+# bare notation string ("2+2:opt") or an object
 #
 #     {"notation": "2+0", "overrides": {"lvaq_size": 32,
 #                                       "frontend.policy": "gshare",
@@ -231,7 +231,7 @@ def config_from_spec(spec: Any) -> MachineConfig:
 
 
 def sim_job_from_payload(payload: Dict[str, Any]) -> SimJob:
-    """The ``sim`` kind's submission decoder (service + sweep driver)."""
+    """The ``sim`` kind's payload decoder (the sweep driver's points)."""
     workload = payload.get("workload")
     if not isinstance(workload, str) or not workload:
         raise ReproError("sim job payload needs a 'workload' name")
@@ -246,16 +246,3 @@ def sim_job_from_payload(payload: Dict[str, Any]) -> SimJob:
         max_instructions=payload.get("max_instructions"),
     )
 
-
-def mix_job_from_payload(payload: Dict[str, Any]) -> MixJob:
-    """The ``mix`` kind's submission decoder."""
-    workloads = payload.get("workloads")
-    if (not isinstance(workloads, (list, tuple)) or not workloads
-            or not all(isinstance(w, str) for w in workloads)):
-        raise ReproError("mix job payload needs a 'workloads' name list")
-    return MixJob(
-        tuple(workloads),
-        config_from_spec(payload.get("config", "2+2:opt")),
-        scale=float(payload.get("scale", 1.0)),
-        seed=int(payload.get("seed", 1)),
-    )

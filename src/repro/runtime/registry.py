@@ -2,20 +2,16 @@
 
 Before this module existed, each job family grew its own plumbing — the
 engine took an explicit ``execute`` callable, the cache a ``result_type``
-class, the service layer would have needed a dispatch table of its own.
-A :class:`JobKind` bundles everything the runtime needs to know about a
-family of jobs in one registration:
+class.  A :class:`JobKind` bundles everything the runtime needs to know
+about a family of jobs in one registration:
 
 * ``spec_type``   — the job-spec class (``SimJob``, ``MixJob``, ...);
 * ``result_type`` — what an execution produces (integrity gate for the
   result store: a deserialized payload of any other type is a miss);
 * ``execute``     — a **top-level, picklable** function mapping a spec to
   a result, so process-pool workers can run any kind;
-* ``decode_spec`` — optional JSON-payload -> spec constructor (the job
-  service's submission path; kinds without one are not submittable
-  over the wire);
-* ``encode_result`` — optional result -> JSON-able dict (the service's
-  ``/result`` endpoint);
+* ``decode_spec`` — optional JSON-payload -> spec constructor (the
+  sweep driver's payload decoder; only ``sim`` has one);
 * ``cacheable``   — whether the engine should route results through the
   result store (trace captures write their own store entry and opt out);
 * ``files``       — the file suffixes of one store entry of this kind:
@@ -53,13 +49,11 @@ class JobKind:
     """Everything the runtime needs to know about one job family."""
 
     __slots__ = ("name", "spec_type", "result_type", "execute",
-                 "decode_spec", "encode_result", "cacheable", "files",
-                 "check_files")
+                 "decode_spec", "cacheable", "files", "check_files")
 
     def __init__(self, name: str, spec_type: type, result_type: type,
                  execute: Callable[[Any], Any],
                  decode_spec: Optional[Callable[[Dict[str, Any]], Any]] = None,
-                 encode_result: Optional[Callable[[Any], Dict[str, Any]]] = None,
                  cacheable: bool = True,
                  files: Tuple[str, ...] = (".pkl",),
                  check_files: Optional[Callable[[str], str]] = None):
@@ -68,7 +62,6 @@ class JobKind:
         self.result_type = result_type
         self.execute = execute
         self.decode_spec = decode_spec
-        self.encode_result = encode_result
         self.cacheable = cacheable
         self.files = files
         self.check_files = check_files
@@ -145,28 +138,19 @@ def kind_for(job: Any, required: bool = True) -> Optional[JobKind]:
 
 
 def decode_job(payload: Dict[str, Any]) -> Any:
-    """Build a job spec from a service-submission payload.
+    """Build a job spec from a wire payload (a sweep point).
 
     The payload names its kind (``{"kind": "sim", ...}``); the kind's
-    ``decode_spec`` does the rest.  Kinds without a decoder are not
-    submittable and say so.
+    ``decode_spec`` does the rest.  Kinds without a decoder say so.
     """
     if not isinstance(payload, dict):
         raise RuntimeError(f"job payload must be an object, "
                            f"got {type(payload).__name__}")
     kind = get_kind(payload.get("kind", "<missing>"))
     if kind.decode_spec is None:
-        submittable = sorted(name for name, k in registered_kinds().items()
-                             if k.decode_spec is not None)
+        decodable = sorted(name for name, k in registered_kinds().items()
+                           if k.decode_spec is not None)
         raise RuntimeError(
-            f"job kind {kind.name!r} is not submittable over the service "
-            f"API; submittable kinds: {', '.join(submittable) or '(none)'}")
+            f"job kind {kind.name!r} has no payload decoder; "
+            f"decodable kinds: {', '.join(decodable) or '(none)'}")
     return kind.decode_spec(payload)
-
-
-def encode_result(job: Any, result: Any) -> Dict[str, Any]:
-    """JSON-able rendering of *result* via the job's kind."""
-    kind = kind_for(job)
-    if kind.encode_result is None:
-        return {"repr": repr(result)}
-    return kind.encode_result(result)

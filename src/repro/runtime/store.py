@@ -37,8 +37,8 @@ not results.
 
 Hit-path economy: lookups and writes buffer index movements in memory
 and :meth:`flush` writes the dirty shards — the engine flushes once per
-run, the service once per batch — so a thousand-hit sweep does not
-rewrite index files a thousand times.
+run, a sweep once per chunk — so a thousand-hit sweep does not rewrite
+index files a thousand times.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 A sweep is a cross product over the axes the paper's design space
 actually varies — port configurations (``N+M[:opt]`` notations),
 frontend timing policies, LVAQ sizes, and compiler optimization levels —
-expanded over a workload list into ``sim``-kind job payloads (the same
-wire format the job service accepts, so one expansion feeds both the
-local engine and a remote ``repro-cc serve``).
+expanded over a workload list into ``sim``-kind job payloads (JSON, so
+``--dry-run`` can print them).  One :class:`RuntimeSession` runs them:
+its store answers the dedup pass and its warm pool every chunk, so the
+second chunk of a sweep recompiles nothing the first one compiled.
 
 The driver is **budgeted and resumable**:
 
@@ -87,9 +88,8 @@ def expand(spec: SweepSpec) -> List[Dict[str, Any]]:
 
     Opt levels ride in the workload name (``mini.qsort@O0`` — the
     builder's convention); frontend policy and LVAQ size become dotted
-    config overrides.  Each payload round-trips through
-    :func:`repro.runtime.registry.decode_job`, so the sweep and the
-    service construct byte-for-byte identical job specs.
+    config overrides.  Each payload decodes to its job spec through
+    :func:`repro.runtime.registry.decode_job`.
     """
     payloads = []
     for workload in spec.workloads:
@@ -213,18 +213,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
               budget_points: Optional[int] = None,
               budget_seconds: Optional[float] = None,
               manifest_path: Optional[str] = None,
-              service_url: Optional[str] = None,
               chunk: int = 8,
               progress=None) -> SweepReport:
     """Drive the sweep to completion or until a budget runs out.
 
-    Local mode runs points through a :class:`RuntimeSession` engine;
-    with *service_url* they are submitted to a running ``repro-cc
-    serve`` instead (same payloads, same results — the service path is
-    bit-identical by construction).  Points run cheapest-first in
-    chunks of *chunk*, and budgets are checked between chunks so a
-    timeout never abandons completed work.
+    Points run cheapest-first in chunks of *chunk* through one
+    :class:`RuntimeSession` (with ``jobs > 1``, one warm pool for the
+    whole sweep), and budgets are checked between chunks so a timeout
+    never abandons completed work.  *progress* is called once per point
+    run as ``(status, outcome, done, total)``: *done* counts across
+    chunks, and *total* is the number of points this invocation will
+    run after manifest resume, store dedup and *budget_points*.
     """
+    from repro.runtime.engine import RuntimeSession
+
     started = time.monotonic()
     payloads = expand(spec)
     manifest = SweepManifest(manifest_path, spec)
@@ -240,147 +242,81 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     planned_keys = list(jobs_by_key)
     resumed = sum(1 for key in planned_keys if key in manifest.done)
 
-    # Dedup pass 2: the result store already has it — record straight
-    # from the store, charge no budget.
-    from repro.runtime.store import runtime_store
+    deduped = completed = failed = skipped = 0
+    done = total = 0
 
-    deduped = 0
-    store = None if no_cache else runtime_store(cache_dir)
-    todo: List[str] = []
-    for key in planned_keys:
-        if key in manifest.done:
-            continue
-        if store is not None:
-            existing = store.lookup(jobs_by_key[key])
-            if existing is not None:
-                deduped += 1
-                manifest.record(key, {
-                    "workload": jobs_by_key[key].workload,
-                    "label": jobs_by_key[key].label(),
-                    "cached": True,
-                    "cycles": existing.cycles,
-                    "ipc": existing.ipc,
-                })
-                continue
-        todo.append(key)
-    if store is not None:
-        store.flush()
+    def count_across_chunks(status, outcome, _done, _total):
+        nonlocal done
+        done += 1
+        progress(status, outcome, done, total)
 
-    # Cheapest-first: a small budget buys the most design-space coverage.
-    todo.sort(key=lambda key: (predicted_cost(payload_by_key[key]), key))
-
-    completed = 0
-    failed = 0
-    skipped = 0
-    budget_left = budget_points
-
-    runner = _ServiceRunner(service_url) if service_url else _LocalRunner(
-        jobs=jobs, cache_dir=cache_dir, no_cache=no_cache,
-        timeout=timeout, progress=progress)
+    session = RuntimeSession(
+        jobs=jobs, cache_dir=cache_dir, no_cache=no_cache, timeout=timeout,
+        progress=count_across_chunks if progress is not None else None,
+        keep_pool=jobs > 1)
     try:
+        # Dedup pass 2: the result store already has it — record
+        # straight from the store, charge no budget.
+        store = session.cache
+        todo: List[str] = []
+        for key in planned_keys:
+            if key in manifest.done:
+                continue
+            job = jobs_by_key[key]
+            existing = store.lookup(job) if store is not None else None
+            if existing is None:
+                todo.append(key)
+                continue
+            deduped += 1
+            manifest.record(key, {
+                "workload": job.workload,
+                "label": job.label(),
+                "cached": True,
+                "cycles": existing.cycles,
+                "ipc": existing.ipc,
+            })
+
+        # Cheapest-first: a small budget buys the most design-space
+        # coverage.
+        todo.sort(key=lambda key: (predicted_cost(payload_by_key[key]), key))
+        total = len(todo)
+        if budget_points is not None:
+            total = max(0, min(total, budget_points))
+
         position = 0
         while position < len(todo):
-            if budget_seconds is not None and (
-                    time.monotonic() - started) >= budget_seconds:
+            if position >= total or (
+                    budget_seconds is not None
+                    and time.monotonic() - started >= budget_seconds):
                 skipped = len(todo) - position
                 break
-            take = min(chunk, len(todo) - position)
-            if budget_left is not None:
-                if budget_left <= 0:
-                    skipped = len(todo) - position
-                    break
-                take = min(take, budget_left)
-            batch_keys = todo[position:position + take]
-            position += take
-            if budget_left is not None:
-                budget_left -= take
-            outcomes = runner.run([(key, jobs_by_key[key],
-                                    payload_by_key[key])
-                                   for key in batch_keys])
-            for key in batch_keys:
-                outcome = outcomes.get(key)
-                if outcome is None or not outcome.get("ok"):
+            chunk_keys = todo[position:min(position + chunk, total)]
+            position += len(chunk_keys)
+            report = session.prewarm(
+                [jobs_by_key[key] for key in chunk_keys])
+            for key in chunk_keys:
+                outcome = report.outcomes.get(key)
+                if outcome is None or not outcome.ok:
                     failed += 1
                     continue
                 completed += 1
+                job = jobs_by_key[key]
                 manifest.record(key, {
-                    "workload": jobs_by_key[key].workload,
-                    "label": jobs_by_key[key].label(),
-                    "cached": outcome.get("cached", False),
-                    "cycles": outcome.get("cycles"),
-                    "ipc": outcome.get("ipc"),
+                    "workload": job.workload,
+                    "label": job.label(),
+                    "cached": outcome.status == "cached",
+                    "cycles": outcome.result.cycles,
+                    "ipc": outcome.result.ipc,
                 })
             manifest.write(planned_keys)
     finally:
-        runner.close()
+        session.close()
         manifest.write(planned_keys)
 
     return SweepReport(
         planned=len(planned_keys), deduped=deduped, resumed=resumed,
         completed=completed, failed=failed, skipped_budget=skipped,
         elapsed=time.monotonic() - started, results=dict(manifest.done))
-
-
-class _LocalRunner:
-    """Run sweep points through an in-process engine."""
-
-    def __init__(self, jobs: int, cache_dir: Optional[str],
-                 no_cache: bool, timeout: Optional[float], progress):
-        from repro.runtime.engine import RuntimeSession
-
-        self.session = RuntimeSession(
-            jobs=jobs, cache_dir=cache_dir, no_cache=no_cache,
-            timeout=timeout, progress=progress,
-            keep_pool=jobs > 1)
-
-    def run(self, batch) -> Dict[str, Dict[str, Any]]:
-        report = self.session.prewarm([job for _key, job, _p in batch])
-        outcomes = {}
-        for key, outcome in report.outcomes.items():
-            entry: Dict[str, Any] = {"ok": outcome.ok,
-                                     "cached": outcome.status == "cached"}
-            if outcome.result is not None:
-                entry["cycles"] = outcome.result.cycles
-                entry["ipc"] = outcome.result.ipc
-            outcomes[key] = entry
-        return outcomes
-
-    def close(self) -> None:
-        self.session.close()
-
-
-class _ServiceRunner:
-    """Run sweep points by submitting them to ``repro-cc serve``."""
-
-    def __init__(self, url: str):
-        from repro.runtime.service import ServiceClient
-
-        self.client = ServiceClient(url)
-
-    def run(self, batch) -> Dict[str, Dict[str, Any]]:
-        reply = self.client.submit([payload for _k, _j, payload in batch])
-        status = self.client.wait(reply["batch"])
-        outcomes: Dict[str, Dict[str, Any]] = {}
-        for event in self.client.stream(reply["batch"]):
-            if event.get("event") != "job":
-                continue
-            key = event["key"]
-            ok = event["status"] in ("ran", "cached")
-            entry = {"ok": ok, "cached": event["status"] == "cached"}
-            if ok:
-                try:
-                    body = self.client.result(key)["result"]
-                    entry["cycles"] = body.get("cycles")
-                    entry["ipc"] = body.get("ipc")
-                except Exception:  # noqa: BLE001 - summary only
-                    pass
-            outcomes[key] = entry
-        if status["state"] == "failed":
-            raise ReproError(f"service batch failed: {status['error']}")
-        return outcomes
-
-    def close(self) -> None:
-        pass
 
 
 def format_report(spec: SweepSpec, report: SweepReport) -> str:

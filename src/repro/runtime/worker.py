@@ -15,20 +15,18 @@ can resolve — the engine never switches on a job's type itself.
 Warm-state accounting: :func:`warm_snapshot` reads the per-process
 counters behind the expensive lazily-built state (specialized-kernel
 compiles, trace builds, sidecar decodes); :func:`run_with_stats` wraps
-one execution and returns the deltas, so the engine — and through it the
-job service — can prove a warm pool did zero recompiles on a repeat.
+one execution and returns the deltas, so the engine can prove a warm
+pool did zero recompiles on a repeat.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from time import monotonic
 from typing import Any, Dict, Tuple
 
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
-from repro.runtime.job import (MixJob, SimJob, mix_job_from_payload,
-                               sim_job_from_payload)
+from repro.runtime.job import MixJob, SimJob, sim_job_from_payload
 from repro.runtime.registry import JobKind, kind_for, register_kind
 from repro.trace.mix import MixResult
 from repro.vm.trace import Trace
@@ -168,32 +166,6 @@ def run_with_stats(execute, job):
     return result, warm_delta(before)
 
 
-def run_job_batch(execute, jobs):
-    """Run several jobs in one worker round trip.
-
-    One submission amortizes the per-job IPC plus the worker's warm
-    state: the per-process trace memo and the specialized-kernel cache
-    (:mod:`repro.core.stages.specialize`) are both keyed so that every
-    job after the first with the same workload or machine config reuses
-    them.  Returns one ``("ok", result, wall_s, stats)`` or
-    ``("error", message, wall_s, stats)`` quadruple per job, in order —
-    a failed job never takes its batch siblings down with it.
-    """
-    out = []
-    for job in jobs:
-        t0 = monotonic()
-        before = warm_snapshot()
-        try:
-            result = execute(job)
-        except Exception as exc:  # noqa: BLE001 - reported per job
-            out.append(("error", f"{type(exc).__name__}: {exc}",
-                        monotonic() - t0, warm_delta(before)))
-        else:
-            out.append(("ok", result, monotonic() - t0,
-                        warm_delta(before)))
-    return out
-
-
 def execute_mix_job(job):
     """Run one multi-programmed mix to completion (pure; no cache I/O).
 
@@ -210,31 +182,9 @@ def execute_mix_job(job):
     return MixResult(job.config.notation(), results)
 
 
-def encode_sim_result(result: SimResult) -> Dict[str, Any]:
-    """The ``sim`` kind's JSON rendering: every field bit-identity needs."""
-    return {
-        "config": result.config_name,
-        "workload": result.workload_name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "ipc": result.ipc,
-        "counters": result.counters.as_dict(),
-    }
-
-
-def encode_mix_result(result) -> Dict[str, Any]:
-    """The ``mix`` kind's JSON rendering (the summary is complete)."""
-    return result.summary()
-
-
 register_kind(JobKind(
     "sim", SimJob, SimResult, execute_job,
     decode_spec=sim_job_from_payload,
-    encode_result=encode_sim_result,
 ))
 
-register_kind(JobKind(
-    "mix", MixJob, MixResult, execute_mix_job,
-    decode_spec=mix_job_from_payload,
-    encode_result=encode_mix_result,
-))
+register_kind(JobKind("mix", MixJob, MixResult, execute_mix_job))

@@ -312,31 +312,8 @@ def execute_trace_job(job: TraceJob) -> CaptureResult:
     return CaptureResult(path, cached)
 
 
-def trace_job_from_payload(payload: Dict[str, Any]) -> TraceJob:
-    """The ``trace`` kind's submission decoder."""
-    workload = payload.get("workload")
-    if not isinstance(workload, str) or not workload:
-        raise TraceError("trace job payload needs a 'workload' name")
-    return TraceJob(
-        workload,
-        scale=float(payload.get("scale", 1.0)),
-        seed=int(payload.get("seed", 1)),
-        source_text=payload.get("source_text"),
-        optimize=bool(payload.get("optimize", True)),
-        opt_level=payload.get("opt_level"),
-        max_instructions=payload.get("max_instructions"),
-    )
-
-
-def encode_capture_result(result: CaptureResult) -> Dict[str, Any]:
-    """The ``trace`` kind's JSON rendering."""
-    return {"path": result.path, "cached": result.cached}
-
-
 register_kind(JobKind(
     "trace", TraceJob, CaptureResult, execute_trace_job,
-    decode_spec=trace_job_from_payload,
-    encode_result=encode_capture_result,
     cacheable=False,
     files=TraceStore.FILES,
     check_files=check_trace_entry,

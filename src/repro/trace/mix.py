@@ -85,18 +85,6 @@ class MixResult:
         return f"MixResult({names} on {self.config_name}, {self.cycles} cycles)"
 
 
-def mix_cache(cache_dir: Optional[str] = None):
-    """The result store mixes share with every other kind, or None.
-
-    Mix results share the simulation code salt (any simulator change
-    invalidates them) but deserialize as :class:`MixResult`; the ``mix``
-    kind's registered ``result_type`` keeps families from cross-hitting.
-    """
-    from repro.runtime.store import runtime_store
-
-    return runtime_store(cache_dir)
-
-
 def run_mix_jobs(jobs: Iterable[MixJob], engine_jobs: int = 1,
                  cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None
@@ -107,10 +95,11 @@ def run_mix_jobs(jobs: Iterable[MixJob], engine_jobs: int = 1,
     """
     from repro.errors import SimulationError
     from repro.runtime.engine import JobEngine
+    from repro.runtime.store import runtime_store
     from repro.runtime.worker import execute_mix_job
 
     jobs = list(jobs)
-    engine = JobEngine(jobs=engine_jobs, cache=mix_cache(cache_dir),
+    engine = JobEngine(jobs=engine_jobs, cache=runtime_store(cache_dir),
                        timeout=timeout)
     report = engine.run(jobs, execute=execute_mix_job)
     failed = report.failed

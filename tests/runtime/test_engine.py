@@ -53,12 +53,6 @@ def raise_always(job: SimJob) -> SimResult:
     raise RuntimeError(f"boom for {job.workload}")
 
 
-def raise_for_b(job: SimJob) -> SimResult:
-    if job.workload == "b":
-        raise RuntimeError("boom for b")
-    return _stub_result(job)
-
-
 def test_dedupes_identical_jobs():
     calls = []
 
@@ -184,49 +178,4 @@ def test_rejects_bad_worker_count():
 
     with pytest.raises(ValueError):
         JobEngine(jobs=0)
-    with pytest.raises(ValueError):
-        JobEngine(jobs=1, batch=0)
 
-
-def test_batched_pool_runs_all_jobs():
-    """batch > 1 amortizes worker round trips without changing results."""
-    jobs = [_job(w) for w in ("a", "b", "c", "d", "e")]
-    report = JobEngine(jobs=2, batch=2).run(jobs, execute=quick_stub)
-    assert report.ran == 5
-    assert all(o.status == "ran" and o.worker == "pool"
-               for o in report.outcomes.values())
-    pids = {o.result.counters.get("pid")
-            for o in report.outcomes.values()}
-    assert any(pid != MAIN_PID for pid in pids)
-
-
-def test_batched_failure_falls_back_per_job():
-    """One bad job in a chunk must not take its siblings down: the
-    siblings complete from the batch, the bad key is retried through
-    the single-job path and recorded as failed."""
-    jobs = [_job(w) for w in ("a", "b", "c", "d")]
-    report = JobEngine(jobs=2, batch=4, retries=0).run(
-        jobs, execute=raise_for_b)
-    by_name = {o.job.workload: o for o in report.outcomes.values()}
-    assert by_name["b"].status == "failed"
-    assert "boom" in by_name["b"].error
-    for name in ("a", "c", "d"):
-        assert by_name[name].status == "ran"
-
-
-def test_batched_is_bit_identical_to_sequential():
-    def jobs():
-        return [SimJob(name, config, scale=SCALE)
-                for name in ("130.li", "129.compress")
-                for config in (nm_config(2, 0),
-                               nm_config(2, 2, fast_forwarding=True,
-                                         combining=2))]
-
-    sequential = JobEngine(jobs=1).run(jobs())
-    batched = JobEngine(jobs=2, batch=3).run(jobs())
-    assert list(sequential.outcomes) == list(batched.outcomes)
-    for key, seq in sequential.outcomes.items():
-        bat = batched.outcomes[key]
-        assert seq.result.cycles == bat.result.cycles
-        assert (seq.result.counters.as_dict()
-                == bat.result.counters.as_dict())

@@ -190,13 +190,6 @@ def test_inline_fallback_when_pool_cannot_start():
         assert outcome.result.counters.get("pid") == MAIN_PID
 
 
-def test_batched_engine_inline_fallback_when_pool_cannot_start():
-    report = JobEngine(jobs=2, batch=2, pool=DeadPool(2)).run(
-        [_job(w) for w in "abc"], execute=quick_stub)
-    assert report.ran == 3
-    assert all(o.worker == "inline" for o in report.outcomes.values())
-
-
 # -- warm-pool reuse ----------------------------------------------------------
 
 

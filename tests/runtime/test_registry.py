@@ -76,6 +76,14 @@ def test_decode_job_unknown_kind_fails_loudly():
         decode_job(["sim"])
 
 
+def test_decode_job_names_the_decodable_kinds():
+    with pytest.raises(RuntimeError) as excinfo:
+        decode_job({"kind": "mix", "workloads": ["mini.qsort"]})
+    message = str(excinfo.value)
+    assert "job kind 'mix' has no payload decoder" in message
+    assert "decodable kinds: sim" in message
+
+
 def test_config_overrides_apply_and_reject_bad_paths():
     from repro.errors import ReproError
     from repro.runtime.job import config_from_spec
@@ -108,5 +116,5 @@ def test_conflicting_reregistration_rejected():
                 is sim.spec_type)
     finally:
         # Same-spec re-registration REPLACES the entry — put the real
-        # one (with its decode/encode codecs) back for later tests.
+        # one (with its payload decoder) back for later tests.
         register_kind(sim)

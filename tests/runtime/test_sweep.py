@@ -39,7 +39,7 @@ def test_expand_crosses_every_axis():
                  opt_levels=(0, 2))
     payloads = expand(spec)
     assert len(payloads) == spec.points() == 2 * 2 * 2 * 2 * 2
-    # Every payload decodes through the same wire path the service uses.
+    # Every payload decodes to a distinct job spec.
     jobs = [decode_job(p) for p in payloads]
     assert len({job.key for job in jobs}) == len(jobs)
     names = {p["workload"] for p in payloads}
@@ -179,19 +179,57 @@ def test_sweep_records_failures(tmp_path):
     assert not report.finished
 
 
-def test_sweep_through_service_matches_local(tmp_path):
-    """The --service path must produce the same manifest numbers as the
-    local path (bit-identity of the underlying results is covered by
-    the service tests)."""
-    from repro.runtime.service import start_service
 
-    spec = _spec()
-    local = run_sweep(spec, no_cache=True)
+def test_progress_counts_across_chunks(tmp_path):
+    """One count over the whole invocation, not one per chunk; the total
+    is what this invocation will run after store dedup and the budget."""
+    spec = _spec(configs=("2+0", "2+2:opt", "4+0"))
+    calls = []
 
-    with start_service(port=0, jobs=1, no_cache=True) as handle:
-        served = run_sweep(spec, no_cache=True, service_url=handle.url)
-    assert served.completed == 2
-    assert served.results.keys() == local.results.keys()
-    for key in local.results:
-        assert (served.results[key]["cycles"]
-                == local.results[key]["cycles"])
+    def progress(status, outcome, done, total):
+        calls.append((done, total))
+
+    run_sweep(spec, no_cache=True, chunk=1, progress=progress)
+    assert calls == [(1, 3), (2, 3), (3, 3)]
+
+    cache_dir = str(tmp_path / "cache")
+    calls.clear()
+    run_sweep(spec, cache_dir=cache_dir, chunk=1, budget_points=1,
+              progress=progress)
+    assert calls == [(1, 1)]
+    calls.clear()
+    report = run_sweep(spec, cache_dir=cache_dir, chunk=1, progress=progress)
+    assert report.deduped == 1
+    assert calls == [(1, 2), (2, 2)]
+
+
+def test_parallel_sweep_keeps_one_warm_pool(monkeypatch):
+    """With jobs=2 every chunk runs on the same executor: no rebuild and
+    no second pool, and the cycles match an inline sweep's."""
+    from repro.runtime import engine
+
+    built = []
+
+    class CountingExecutor(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingExecutor)
+    spec = _spec(configs=("2+0", "2+2:opt", "4+0"))
+    workers = []
+
+    def progress(status, outcome, done, total):
+        workers.append(outcome.worker)
+
+    # A timeout sends even a one-point chunk to the pool (the pool is
+    # what enforces it), so all three chunks use the kept pool.
+    pooled = run_sweep(spec, jobs=2, chunk=1, no_cache=True, timeout=300,
+                       progress=progress)
+    assert len(built) == 1
+    assert workers == ["pool", "pool", "pool"]
+
+    inline = run_sweep(spec, jobs=1, no_cache=True)
+    assert pooled.completed == inline.completed == 3
+    assert ({key: s["cycles"] for key, s in pooled.results.items()}
+            == {key: s["cycles"] for key, s in inline.results.items()})
