@@ -286,8 +286,9 @@ class JobEngine:
                                     unique[k].seed))
         if pending:
             # The pool path is also what enforces per-job timeouts, so a
-            # single pending job still goes parallel when one is set.
-            if self.jobs > 1 and (len(pending) > 1
+            # single pending job still goes parallel when one is set, or
+            # when a borrowed warm pool holds memos the parent lacks.
+            if self.jobs > 1 and (len(pending) > 1 or self.pool is not None
                                   or self.timeout is not None):
                 self._run_pool(unique, pending, outcomes, execute)
             else:

@@ -19,10 +19,15 @@ semantics.  The generator reproduces the stream.
 The generator appends each instruction's fields straight to the columns
 of the trace's :class:`~repro.vm.trace.Stream` and keeps the trace
 statistics in step as it goes, so no per-instruction object is built.
+The steering draw is ``random.choices`` written out for seven fixed
+categories: the same cumulative weights, summed left to right, and the
+same single ``random()`` bisected into them, so a seed gives the same
+stream as a ``choices`` call would, at a fraction of the cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from repro.errors import WorkloadError
@@ -52,6 +57,18 @@ _BRANCH_FRAC = 0.12
 #: region the compiler could not prove — classified by the predictor).
 _AMBIG_SITES = 32
 
+#: Body-instruction categories in steering-draw order.  Counts, targets
+#: and emitters are indexed by position; the two local categories are the
+#: ones the FP interleaving phase can shut out.
+_CATEGORIES = ("load_local", "load_global", "store_local", "store_global",
+               "ialu", "falu", "branch")
+_LOAD_LOCAL = 0
+_STORE_LOCAL = 2
+
+#: Length of one interleaving phase (FP programs admit local traffic only
+#: in a leading fraction of each phase).
+_PHASE_PERIOD = 2000
+
 
 class _Frame:
     """One activation record of the abstract program."""
@@ -78,17 +95,16 @@ class SyntheticGenerator:
         self.spec = spec
         self.length = length
         self.rng = make_rng(stable_hash(spec.name, seed))
+        self._random = self.rng.random
+        self._randrange = self.rng.randrange
         self.trace = Trace(spec.name)
         stream = self.trace.insts
         #: The stream's column appends, in ``Stream.COLUMNS`` order.
         self._appends = tuple(getattr(stream, name).append
                               for name in stream.COLUMNS)
         self._emitted = 0
-        self._counts = {
-            "load_local": 0, "load_global": 0,
-            "store_local": 0, "store_global": 0,
-            "ialu": 0, "falu": 0, "branch": 0,
-        }
+        #: Instructions emitted per category, in ``_CATEGORIES`` order.
+        self._counts = [0] * len(_CATEGORIES)
         self._int_pool: List[int] = [8, 9, 10]
         self._fp_pool: List[int] = [36, 37]
         self._int_rot = 0
@@ -98,19 +114,25 @@ class SyntheticGenerator:
             _Frame(0, 8, STACK_BASE - 32, 1 << 60, ())
         ]
         self._sweep = 0
-        self._ambig_bias = [self.rng.random() < 0.5
+        self._ambig_bias = [self._random() < 0.5
                             for _ in range(_AMBIG_SITES)]
         # A scheduled spill-reload: (frame, byte offset, not-before index).
         self._pending_reload = None
-        # Interleaving phases for FP programs: a period in which only a
-        # leading fraction admits local traffic.
-        self._phase_period = 2000
-        self._phase_pos = self.rng.randrange(self._phase_period)
+        # Where the first interleaving phase starts.
+        self._phase_start = self._randrange(_PHASE_PERIOD)
         # Dependence density scales how often compute ops read recently
         # produced values (dep_density > 1 means tighter chains, lower
         # achievable ILP).
         self._recent1 = min(0.85, 0.32 * spec.dep_density)
         self._recent2 = min(0.95, self._recent1 + 0.18 * spec.dep_density)
+        # An integer ALU roll below div_frac is a divide, below this a
+        # multiply.
+        self._mul_cut = spec.div_frac + spec.mul_frac
+        # Spill-reload pairing: programs with short calibrated reuse
+        # distances (129.compress at ~15) re-read most stored slots while
+        # the store still sits in the LVAQ.
+        rd = spec.reuse_distance
+        self._pair_prob = 0.8 if rd <= 30 else 0.45 if rd <= 90 else 0.05
 
     # -- register dependence modelling ------------------------------------
 
@@ -132,15 +154,14 @@ class SyntheticGenerator:
             pool.pop(0)
         return reg
 
-    def _srcs_int(self, n: int) -> Tuple[int, ...]:
-        rng = self.rng
+    def _src_int(self) -> int:
+        """A source register drawn from the recent integer producers."""
         pool = self._int_pool
-        return tuple(pool[rng.randrange(len(pool))] for _ in range(n))
+        return pool[self._randrange(len(pool))]
 
-    def _srcs_fp(self, n: int) -> Tuple[int, ...]:
-        rng = self.rng
+    def _src_fp(self) -> int:
         pool = self._fp_pool
-        return tuple(pool[rng.randrange(len(pool))] for _ in range(n))
+        return pool[self._randrange(len(pool))]
 
     def _alu_srcs_int(self) -> Tuple[int, ...]:
         """Source operands for compute ops.
@@ -152,35 +173,53 @@ class SyntheticGenerator:
         recently produced values; at 1.0, 32% read one recent value, 18%
         read two, and the rest read only old (always-ready) registers.
         """
-        roll = self.rng.random()
+        roll = self._random()
         if roll < self._recent1:
-            return self._srcs_int(1)
+            return (self._src_int(),)
         if roll < self._recent2:
-            return self._srcs_int(2)
+            return (self._src_int(), self._src_int())
         return (4,)  # an argument register written long ago: always ready
 
     def _alu_srcs_fp(self) -> Tuple[int, ...]:
-        roll = self.rng.random()
+        roll = self._random()
         if roll < self._recent1:
-            return self._srcs_fp(1)
+            return (self._src_fp(),)
         if roll < self._recent2:
-            return self._srcs_fp(2)
+            return (self._src_fp(), self._src_fp())
         return (44,)
 
     def _addr_srcs(self) -> Tuple[int, ...]:
         """Address operands: usually induction variables (ready early)."""
-        if self.rng.random() < 0.9:
+        if self._random() < 0.9:
             return (5,)  # long-ready base register
-        return self._srcs_int(1)
+        return (self._src_int(),)
 
     # -- emission ----------------------------------------------------------
 
-    def _emit(self, fu: int, dst: int, srcs: Tuple[int, ...], pc: int = 0,
-              addr: int = 0, hint: Optional[bool] = None,
-              is_local: bool = False, sp_based: bool = False,
-              frame: int = 0, offset: int = 0) -> None:
-        """Append one instruction; a load or store is a 4-byte access
-        and is counted in the trace statistics."""
+    def _emit_op(self, fu: int, dst: int, srcs: Tuple[int, ...],
+                 pc: int = 0) -> None:
+        """Append one non-memory instruction."""
+        (fu_append, dst_append, srcs_append, addr_append, size_append,
+         hint_append, local_append, sp_append, frame_append, offset_append,
+         pc_append) = self._appends
+        fu_append(fu)
+        dst_append(dst)
+        srcs_append(srcs)
+        addr_append(0)
+        size_append(0)
+        hint_append(None)
+        local_append(False)
+        sp_append(False)
+        frame_append(0)
+        offset_append(0)
+        pc_append(pc)
+        self._emitted += 1
+
+    def _emit_mem(self, fu: int, dst: int, srcs: Tuple[int, ...], pc: int,
+                  addr: int, hint: Optional[bool], is_local: bool,
+                  sp_based: bool, frame: int, offset: int) -> None:
+        """Append one 4-byte load or store and count it in the trace
+        statistics."""
         (fu_append, dst_append, srcs_append, addr_append, size_append,
          hint_append, local_append, sp_append, frame_append, offset_append,
          pc_append) = self._appends
@@ -188,35 +227,23 @@ class SyntheticGenerator:
         dst_append(dst)
         srcs_append(srcs)
         addr_append(addr)
+        size_append(4)
         hint_append(hint)
         local_append(is_local)
         sp_append(sp_based)
         frame_append(frame)
         offset_append(offset)
         pc_append(pc)
-        if fu == _LOAD or fu == _STORE:
-            size_append(4)
-            stats = self.trace.stats
-            if fu == _LOAD:
-                stats.loads += 1
-                stats.local_loads += is_local
-            else:
-                stats.stores += 1
-                stats.local_stores += is_local
-            stats.sp_based_refs += sp_based
-            stats.ambiguous_refs += hint is None
+        stats = self.trace.stats
+        if fu == _LOAD:
+            stats.loads += 1
+            stats.local_loads += is_local
         else:
-            size_append(0)
+            stats.stores += 1
+            stats.local_stores += is_local
+        stats.sp_based_refs += sp_based
+        stats.ambiguous_refs += hint is None
         self._emitted += 1
-        self._phase_pos += 1
-        if self._phase_pos >= self._phase_period:
-            self._phase_pos = 0
-
-    def _local_phase(self) -> bool:
-        """Whether local traffic is currently admitted (FP interleaving)."""
-        if self.spec.interleave >= 1.0:
-            return True
-        return self._phase_pos < self._phase_period * self.spec.interleave
 
     # -- call/return ---------------------------------------------------------
 
@@ -249,10 +276,10 @@ class SyntheticGenerator:
         frame = _Frame(self._next_frame_id, words, sp, budget, saves)
         self._next_frame_id += 1
         # the call itself
-        srcs = self._srcs_int(1)
-        self._emit(_BRANCH, NO_REG, srcs, rng.randrange(1 << 16))
+        srcs = (self._src_int(),)
+        self._emit_op(_BRANCH, NO_REG, srcs, self._randrange(1 << 16))
         # stack-pointer adjustment (real prologue ALU op)
-        self._emit(_IALU, _SP_REG, (_SP_REG,))
+        self._emit_op(_IALU, _SP_REG, (_SP_REG,))
         self._stack.append(frame)
         stats = self.trace.stats
         stats.calls += 1
@@ -262,32 +289,35 @@ class SyntheticGenerator:
         # register save burst: contiguous local stores
         for offset in saves:
             self._emit_local_store(frame, offset, save_restore=True)
+        # Bursts bypass the steering draw, so charge them to the category
+        # counts to keep the mix on target.
+        self._counts[_STORE_LOCAL] += saves_count
 
     def _do_return(self) -> None:
         frame = self._stack.pop()
         # restore burst: loads matching the saves
         for offset in frame.saves:
             self._emit_local_load(frame, offset, save_restore=True)
-        self._emit(_IALU, _SP_REG, (_SP_REG,))
-        self._emit(_BRANCH, NO_REG, (31,))
+        self._counts[_LOAD_LOCAL] += len(frame.saves)
+        self._emit_op(_IALU, _SP_REG, (_SP_REG,))
+        self._emit_op(_BRANCH, NO_REG, (31,))
 
     # -- memory reference emission -------------------------------------------
 
     def _classify(self, pc_seed: int) -> Tuple[Optional[bool], bool, int]:
         """Pick (hint, sp_based, pc) for a local reference."""
-        rng = self.rng
+        random = self._random
         spec = self.spec
-        if rng.random() < spec.ambig_frac:
-            site = rng.randrange(_AMBIG_SITES)
+        if random() < spec.ambig_frac:
+            site = self._randrange(_AMBIG_SITES)
             return None, False, site  # ambiguous pointer site
-        if rng.random() < spec.nonsp_frac:
+        if random() < spec.nonsp_frac:
             return True, False, pc_seed  # local but not $sp-indexed
         return True, True, pc_seed
 
     def _emit_local_store(self, frame: _Frame, offset: int,
                           save_restore: bool = False) -> None:
-        hint, sp_based, pc = self._classify(self.rng.randrange(1 << 16))
-        addr = frame.sp + offset
+        hint, sp_based, pc = self._classify(self._randrange(1 << 16))
         if save_restore:
             # Register saves read callee-saved values produced long ago:
             # the whole burst is ready the moment it dispatches, so it
@@ -295,53 +325,44 @@ class SyntheticGenerator:
             # traffic around calls).
             data = 16 + (offset >> 2) % 8
         else:
-            data = self._srcs_int(1)[0]
-        self._emit(_STORE, NO_REG, (_SP_REG, data), pc, addr, hint, True,
-                   sp_based, frame.frame_id, offset)
+            data = self._src_int()
+        self._emit_mem(_STORE, NO_REG, (_SP_REG, data), pc,
+                       frame.sp + offset, hint, True, sp_based,
+                       frame.frame_id, offset)
         frame.store_times[offset] = self._emitted
 
     def _emit_local_load(self, frame: _Frame, offset: int,
                          save_restore: bool = False) -> None:
-        hint, sp_based, pc = self._classify(self.rng.randrange(1 << 16))
-        addr = frame.sp + offset
+        hint, sp_based, pc = self._classify(self._randrange(1 << 16))
         if save_restore:
             # Restores refill callee-saved registers; nothing consumes the
             # value immediately, so keep it out of the dependence pool.
             dst = 16 + (offset >> 2) % 8
         else:
             dst = self._dst_int()
-        self._emit(_LOAD, dst, (_SP_REG,), pc, addr, hint, True, sp_based,
-                   frame.frame_id, offset)
+        self._emit_mem(_LOAD, dst, (_SP_REG,), pc, frame.sp + offset, hint,
+                       True, sp_based, frame.frame_id, offset)
 
     def _body_local_store(self) -> None:
         frame = self._stack[-1]
-        rng = self.rng
-        offset = 4 * rng.randrange(frame.words)
+        offset = 4 * self._randrange(frame.words)
         self._emit_local_store(frame, offset)
-        # Spill-reload pairing: programs with short calibrated reuse
-        # distances (129.compress at ~15) re-read most stored slots while
-        # the store still sits in the LVAQ.
-        rd = self.spec.reuse_distance
-        if rd <= 30:
-            pair_prob = 0.8
-        elif rd <= 90:
-            pair_prob = 0.45
-        else:
-            pair_prob = 0.05
-        if self._pending_reload is None and rng.random() < pair_prob:
-            delay = max(2, int(rng.expovariate(1.0 / rd)))
+        if (self._pending_reload is None
+                and self._random() < self._pair_prob):
+            rd = self.spec.reuse_distance
+            delay = max(2, int(self.rng.expovariate(1.0 / rd)))
             self._pending_reload = (frame, offset, self._emitted + delay)
 
     def _body_local_load(self) -> None:
         frame = self._stack[-1]
-        rng = self.rng
+        random = self._random
         spec = self.spec
         # Some programs' local loads feed dependent work (spill reloads of
         # live values); others' do not — the paper notes 130.li's local
         # accesses sit off the critical path (Section 4.2.3).
-        critical = rng.random() < spec.local_criticality
-        offset = None
-        if frame.store_times and rng.random() < 0.8:
+        critical = random() < spec.local_criticality
+        times = frame.store_times
+        if times and random() < 0.8:
             # Re-read a stored slot, preferring one whose last store is
             # about ``reuse_distance`` instructions old.  Short calibrated
             # distances make the value forwardable from the LVAQ; long
@@ -349,12 +370,10 @@ class SyntheticGenerator:
             # ago, so the load must hit the LVC instead.
             now = self._emitted
             target = spec.reuse_distance
-            offset = min(
-                frame.store_times,
-                key=lambda off: abs((now - frame.store_times[off]) - target),
-            )
-        if offset is None:
-            offset = 4 * rng.randrange(frame.words)
+            offset = min(times,
+                         key=lambda off: abs((now - times[off]) - target))
+        else:
+            offset = 4 * self._randrange(frame.words)
         self._emit_local_load(frame, offset, save_restore=not critical)
 
     def _global_addr(self) -> int:
@@ -366,145 +385,154 @@ class SyntheticGenerator:
         over the full working set (produces the L1/L2 miss traffic and the
         stack/data conflicts of Section 4.2.1).
         """
-        rng = self.rng
+        random = self._random
         spec = self.spec
         seq_frac = 0.8 if spec.is_fp else 0.5
-        if rng.random() < seq_frac:
+        if random() < seq_frac:
             advance = 0.8 if spec.is_fp else 0.4
-            if rng.random() < advance:
+            if random() < advance:
                 self._sweep = (self._sweep + 1) % spec.ws_words
             return DATA_BASE + 4 * self._sweep
         hot_words = min(spec.ws_words, 2500)
-        if rng.random() < 0.85:
-            return DATA_BASE + 4 * rng.randrange(hot_words)
-        return DATA_BASE + 4 * rng.randrange(spec.ws_words)
+        if random() < 0.85:
+            return DATA_BASE + 4 * self._randrange(hot_words)
+        return DATA_BASE + 4 * self._randrange(spec.ws_words)
 
     def _body_global_load(self) -> None:
-        use_fp = self.spec.is_fp and self.rng.random() < 0.7
+        use_fp = self.spec.is_fp and self._random() < 0.7
         dst = self._dst_fp() if use_fp else self._dst_int()
         srcs = self._addr_srcs()
         addr = self._global_addr()
-        self._emit(_LOAD, dst, srcs, self.rng.randrange(1 << 16), addr,
-                   False)
+        self._emit_mem(_LOAD, dst, srcs, self._randrange(1 << 16), addr,
+                       False, False, False, 0, 0)
 
     def _body_global_store(self) -> None:
-        use_fp = self.spec.is_fp and self.rng.random() < 0.7
-        data = self._srcs_fp(1)[0] if use_fp else self._srcs_int(1)[0]
+        use_fp = self.spec.is_fp and self._random() < 0.7
+        data = self._src_fp() if use_fp else self._src_int()
         srcs = (self._addr_srcs()[0], data)
         addr = self._global_addr()
-        self._emit(_STORE, NO_REG, srcs, self.rng.randrange(1 << 16), addr,
-                   False)
+        self._emit_mem(_STORE, NO_REG, srcs, self._randrange(1 << 16), addr,
+                       False, False, False, 0, 0)
 
     # -- compute/branch emission -----------------------------------------------
 
     def _body_ialu(self) -> None:
-        rng = self.rng
-        spec = self.spec
-        roll = rng.random()
-        if roll < spec.div_frac:
+        roll = self._random()
+        if roll < self.spec.div_frac:
             fu = _IDIV
-        elif roll < spec.div_frac + spec.mul_frac:
+        elif roll < self._mul_cut:
             fu = _IMULT
         else:
             fu = _IALU
         dst = self._dst_int()
-        self._emit(fu, dst, self._alu_srcs_int())
+        self._emit_op(fu, dst, self._alu_srcs_int())
 
     def _body_falu(self) -> None:
-        fu = _FMUL if self.rng.random() < 0.4 else _FADD
+        fu = _FMUL if self._random() < 0.4 else _FADD
         dst = self._dst_fp()
-        self._emit(fu, dst, self._alu_srcs_fp())
+        self._emit_op(fu, dst, self._alu_srcs_fp())
 
     def _body_branch(self) -> None:
         # Most branch conditions test values computed a while ago (loop
         # bounds, flags); with an oracle front end they never stall fetch.
-        if self.rng.random() < 0.7:
+        if self._random() < 0.7:
             srcs: Tuple[int, ...] = (6,)
         else:
-            srcs = self._srcs_int(1)
-        self._emit(_BRANCH, NO_REG, srcs, self.rng.randrange(1 << 16))
+            srcs = (self._src_int(),)
+        self._emit_op(_BRANCH, NO_REG, srcs, self._randrange(1 << 16))
 
     # -- main loop ----------------------------------------------------------
 
     def generate(self) -> Trace:
         """Produce the trace (single use per generator instance)."""
         spec = self.spec
-        rng = self.rng
+        random = self._random
         length = self.length
         counts = self._counts
+        stack = self._stack
+        max_depth = spec.max_depth
+        call_rate = spec.call_rate
+        # Local traffic is admitted while the phase position is below the
+        # cut: always when ``interleave`` >= 1.
+        phase_start = self._phase_start
+        cut = _PHASE_PERIOD * min(spec.interleave, 1.0)
 
         alu_frac = 1.0 - spec.mem_frac - _BRANCH_FRAC
-        targets = {
-            "load_local": spec.load_frac * spec.local_load_frac,
-            "load_global": spec.load_frac * (1 - spec.local_load_frac),
-            "store_local": spec.store_frac * spec.local_store_frac,
-            "store_global": spec.store_frac * (1 - spec.local_store_frac),
-            "ialu": alu_frac * (1 - spec.fp_frac),
-            "falu": alu_frac * spec.fp_frac,
-            "branch": _BRANCH_FRAC,
-        }
-        emitters = {
-            "load_local": self._body_local_load,
-            "load_global": self._body_global_load,
-            "store_local": self._body_local_store,
-            "store_global": self._body_global_store,
-            "ialu": self._body_ialu,
-            "falu": self._body_falu,
-            "branch": self._body_branch,
-        }
-        keys = list(targets)
+        targets = (
+            spec.load_frac * spec.local_load_frac,
+            spec.load_frac * (1 - spec.local_load_frac),
+            spec.store_frac * spec.local_store_frac,
+            spec.store_frac * (1 - spec.local_store_frac),
+            alu_frac * (1 - spec.fp_frac),
+            alu_frac * spec.fp_frac,
+            _BRANCH_FRAC,
+        )
+        # The steering draw is ``rng.choices(_CATEGORIES, weights)``
+        # spelled out, so the same single ``random()`` picks the same
+        # category:
+        # - an admitted category with a positive target weighs
+        #   ``max(target * n - count, 0.0) + 0.001``; ``d if d > 0.0 else
+        #   0.0`` differs from that ``max`` only in the sign of a zero,
+        #   which the addition erases.  Any other category weighs 0.0,
+        #   which (target, floor) = (0.0, 0.0) gives by the same formula;
+        # - the cumulative weights are the left-to-right float sums
+        #   ``choices`` makes, and its pick ``bisect_right(cum, random()
+        #   * (cum[-1] + 0.0), 0, 6)`` reads only the first six.
+        (t0, t1, t2, t3, t4, t5, t6) = (t if t > 0.0 else 0.0
+                                        for t in targets)
+        (f0, f1, f2, f3, f4, f5, f6) = (0.001 if t > 0.0 else 0.0
+                                        for t in targets)
+        emitters = (self._body_local_load, self._body_global_load,
+                    self._body_local_store, self._body_global_store,
+                    self._body_ialu, self._body_falu, self._body_branch)
 
         while self._emitted < length:
-            local_ok = self._local_phase()
-            frame = self._stack[-1]
+            emitted = self._emitted
+            local_ok = (phase_start + emitted) % _PHASE_PERIOD < cut
+            frame = stack[-1]
             pending = self._pending_reload
             if (pending is not None and local_ok
-                    and self._emitted >= pending[2]):
+                    and emitted >= pending[2]):
                 self._pending_reload = None
                 if pending[0] is frame:  # frame still live?
-                    counts["load_local"] += 1
+                    counts[_LOAD_LOCAL] += 1
                     self._emit_local_load(frame, pending[1])
                     continue
-            if (local_ok and len(self._stack) < spec.max_depth
-                    and rng.random() < spec.call_rate):
-                before = self._counts_mem_snapshot()
+            if (local_ok and len(stack) < max_depth
+                    and random() < call_rate):
                 self._do_call()
-                self._account_burst(before)
                 continue
-            if frame.budget <= 0 and len(self._stack) > 1:
-                before = self._counts_mem_snapshot()
+            if frame.budget <= 0 and len(stack) > 1:
                 self._do_return()
-                self._account_burst(before)
                 continue
             frame.budget -= 1
-            total = self._emitted + 1
-            weights = []
-            for key in keys:
-                if targets[key] <= 0.0:
-                    weights.append(0.0)  # e.g. no FP in integer programs
-                    continue
-                if not local_ok and key in ("load_local", "store_local"):
-                    weights.append(0.0)
-                    continue
-                deficit = targets[key] * total - counts[key]
-                weights.append(max(deficit, 0.0) + 0.001)
-            key = rng.choices(keys, weights=weights, k=1)[0]
-            counts[key] += 1
-            emitters[key]()
+            n = emitted + 1
+            if local_ok:
+                d = t0 * n - counts[0]
+                c0 = (d if d > 0.0 else 0.0) + f0
+                d = t1 * n - counts[1]
+                c1 = c0 + ((d if d > 0.0 else 0.0) + f1)
+                d = t2 * n - counts[2]
+                c2 = c1 + ((d if d > 0.0 else 0.0) + f2)
+            else:  # the local categories weigh 0.0
+                c0 = 0.0
+                d = t1 * n - counts[1]
+                c2 = c1 = (d if d > 0.0 else 0.0) + f1
+            d = t3 * n - counts[3]
+            c3 = c2 + ((d if d > 0.0 else 0.0) + f3)
+            d = t4 * n - counts[4]
+            c4 = c3 + ((d if d > 0.0 else 0.0) + f4)
+            d = t5 * n - counts[5]
+            c5 = c4 + ((d if d > 0.0 else 0.0) + f5)
+            d = t6 * n - counts[6]
+            c6 = c5 + ((d if d > 0.0 else 0.0) + f6)
+            category = bisect_right((c0, c1, c2, c3, c4, c5),
+                                    random() * (c6 + 0.0))
+            counts[category] += 1
+            emitters[category]()
 
         self.trace.stats.instructions = self._emitted
         return self.trace
-
-    # Save/restore bursts bypass the steering loop, so fold their memory
-    # traffic back into the category counters to keep the mix on target.
-    def _counts_mem_snapshot(self) -> Tuple[int, int]:
-        stats = self.trace.stats
-        return stats.local_loads, stats.local_stores
-
-    def _account_burst(self, before: Tuple[int, int]) -> None:
-        stats = self.trace.stats
-        self._counts["load_local"] += stats.local_loads - before[0]
-        self._counts["store_local"] += stats.local_stores - before[1]
 
 
 def generate_trace(spec: WorkloadSpec, length: Optional[int] = None,

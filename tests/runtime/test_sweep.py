@@ -203,9 +203,11 @@ def test_progress_counts_across_chunks(tmp_path):
     assert calls == [(1, 2), (2, 2)]
 
 
-def test_parallel_sweep_keeps_one_warm_pool(monkeypatch):
-    """With jobs=2 every chunk runs on the same executor: no rebuild and
-    no second pool, and the cycles match an inline sweep's."""
+@pytest.mark.parametrize("timeout", [None, 300])
+def test_parallel_sweep_keeps_one_warm_pool(monkeypatch, timeout):
+    """With jobs=2 every chunk, even a one-point chunk, runs on the same
+    executor: no rebuild, no second pool and no point run inline, and
+    the cycles match an inline sweep's."""
     from repro.runtime import engine
 
     built = []
@@ -222,10 +224,8 @@ def test_parallel_sweep_keeps_one_warm_pool(monkeypatch):
     def progress(status, outcome, done, total):
         workers.append(outcome.worker)
 
-    # A timeout sends even a one-point chunk to the pool (the pool is
-    # what enforces it), so all three chunks use the kept pool.
-    pooled = run_sweep(spec, jobs=2, chunk=1, no_cache=True, timeout=300,
-                       progress=progress)
+    pooled = run_sweep(spec, jobs=2, chunk=1, no_cache=True,
+                       timeout=timeout, progress=progress)
     assert len(built) == 1
     assert workers == ["pool", "pool", "pool"]
 
