@@ -6,9 +6,11 @@ entries woken out of order by writeback — plus a sleep dict for entries
 whose operands are complete but not yet forwardable.  Memory ops perform
 address generation here (stores may already have resolved theirs via the
 STA split); stores then go to the dedicated store-done lane, everything
-else schedules its completion on the calendar.  An entry's functional
-unit and address come from the stream's ``fu_of``/``addr_of`` columns at
-its ``inst`` index.
+else schedules its completion on the calendar.  A load is also bucketed
+for the memory stage's eligibility walk at the first cycle it can act:
+its address-known cycle, later by the misprediction penalty if it has
+one.  An entry's functional unit and address come from the stream's
+``fu_of``/``addr_of`` columns at its ``inst`` index.
 
 The pipelined ALU pools refill at the top of the tick rather than once
 per cycle: nothing but this stage consumes them, so a skipped tick's
@@ -168,19 +170,20 @@ def bind(state: CoreState):
                                     b2.append(qe)
                         else:
                             # Register the load for the memory stage's
-                            # event-driven walk at its address-known
-                            # cycle.
+                            # event-driven walk at the first cycle it
+                            # can act (see the note below).
+                            when = now + 1 + qe.penalty
                             if qe.use_lvc:
                                 if lvaq_track:
-                                    b2 = agen_ready_lvaq.get(now + 1)
+                                    b2 = agen_ready_lvaq.get(when)
                                     if b2 is None:
-                                        agen_ready_lvaq[now + 1] = [qe]
+                                        agen_ready_lvaq[when] = [qe]
                                     else:
                                         b2.append(qe)
                             else:
-                                b2 = agen_ready_lsq.get(now + 1)
+                                b2 = agen_ready_lsq.get(when)
                                 if b2 is None:
-                                    agen_ready_lsq[now + 1] = [qe]
+                                    agen_ready_lsq[when] = [qe]
                                 else:
                                     b2.append(qe)
                     if qe.is_store:
@@ -291,19 +294,28 @@ def bind(state: CoreState):
                                     b2.append(qe)
                         else:
                             # Register the load for the memory stage's
-                            # event-driven walk at its address-known
-                            # cycle.
+                            # event-driven walk at the first cycle it
+                            # can act: its address-known cycle, or, in
+                            # misprediction recovery, the cycle its
+                            # penalty ends.  Until then the walk would
+                            # skip it without effect, and combining
+                            # never absorbs a penalized load, so the
+                            # walk need not test the penalty.  Such a
+                            # load enters its bucket cycles before the
+                            # loads issued now, which may be older: the
+                            # walk puts that bucket in age order.
+                            when = now + 1 + qe.penalty
                             if qe.use_lvc:
                                 if lvaq_track:
-                                    b2 = agen_ready_lvaq.get(now + 1)
+                                    b2 = agen_ready_lvaq.get(when)
                                     if b2 is None:
-                                        agen_ready_lvaq[now + 1] = [qe]
+                                        agen_ready_lvaq[when] = [qe]
                                     else:
                                         b2.append(qe)
                             else:
-                                b2 = agen_ready_lsq.get(now + 1)
+                                b2 = agen_ready_lsq.get(when)
                                 if b2 is None:
-                                    agen_ready_lsq[now + 1] = [qe]
+                                    agen_ready_lsq[when] = [qe]
                                 else:
                                     b2.append(qe)
                     if qe.is_store:

@@ -5,10 +5,16 @@ which no older unknown-address store in its queue might alias, and
 which wins a port either forwards from the youngest older same-word
 store or accesses its cache, with the completion scheduled on the
 calendar.  Eligibility is event-driven — issue's address generation
-buckets each load by the cycle its address becomes known
-(``MemQueue._addr_ready``) and the walk drains the bucket for the
-current cycle into an age-ordered eligible list, so loads still waiting
-on operands or address generation are never rescanned.  The LVAQ side
+buckets each load by the first cycle it can act: the cycle its address
+becomes known or, in misprediction recovery, the cycle its penalty ends
+(``MemQueue._addr_ready``).  The walk drains the bucket for the current
+cycle into an age-ordered eligible list, so loads still waiting on
+operands, address generation or the penalty are never rescanned.  The
+walk stops at the first load an older unknown-address store blocks
+(every later one is blocked too), and once no port is left it charges
+each remaining load before that point its port stall in one step: a
+cycle costs what the loads that act cost, not the loads that wait.
+The counts are exactly those of visiting every load.  The LVAQ side
 adds the paper's fast data forwarding (sp-relative (frame, offset)
 matching before address generation) and access combining (following
 same-line loads absorbed into one port transaction); with fast
@@ -27,8 +33,13 @@ Interface: ``bind(state) -> (tick, finish)``.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.core.stages.state import MASK, RING, CoreState
 from repro.pipeline.memqueue import INF_SEQ
+
+#: Sort key of a queue entry: its queue position, which is its age.
+BY_POS = attrgetter("pos")
 
 
 def bind(state: CoreState):
@@ -56,7 +67,7 @@ def bind(state: CoreState):
     lvaq_words_get = lvaq._stores_by_word.get
     lvaq_sp_get = lvaq._sp_stores.get
     # Event-driven eligibility: issue's address generation buckets each
-    # load by its address-known cycle; the walk drains the bucket for
+    # load by the first cycle it can act; the walk drains the bucket for
     # ``now`` into an age-ordered eligible list and visits only those.
     # (With fast forwarding the LVAQ keeps the full rescan instead —
     # sp-based loads can be serviced before address generation.)
@@ -192,14 +203,21 @@ def bind(state: CoreState):
                     li = 0
                 lvaq_load_head = li
             else:
-                # Event-driven walk: visit only loads whose address is
-                # known (issue buckets them by address-known cycle);
+                # Event-driven walk: visit only loads that can act
+                # (issue buckets them by the first cycle they can);
                 # the rescan loop below degenerates to a no-op.
                 li = 0
                 n_loads = 0
                 elig = lvaq_eligible
                 arrivals = lvaq_addr_ready_pop(now, None)
                 if arrivals is not None:
+                    if arrivals[0].penalty and len(arrivals) > 1:
+                        # One issue cycle fills a bucket in age order.
+                        # A load in recovery was bucketed `penalty`
+                        # cycles early, ahead of the loads whose address
+                        # became known now, which may be older: only a
+                        # bucket that starts with one can be unordered.
+                        arrivals.sort(key=BY_POS)
                     if not elig or arrivals[0].pos > elig[-1].pos:
                         elig.extend(arrivals)
                     else:
@@ -222,31 +240,50 @@ def bind(state: CoreState):
                         if j3 < m3:
                             merged.extend(arrivals[j3:])
                         elig[:] = merged
+                # Issue buckets a load in misprediction recovery at the
+                # cycle its penalty ends, so no eligible load is still
+                # penalized.  Only this walk services a tracked load,
+                # and it drops what it services; a load completes only
+                # once serviced.  So an eligible load is never serviced
+                # or completed — except one combining absorbed ahead of
+                # the walk, which only a combining machine can hold.
                 i3 = 0
                 wi = 0
                 n_el = len(elig)
                 while i3 < n_el:
                     qe = elig[i3]
-                    i3 += 1
-                    if qe.serviced:
+                    if combine_window and qe.serviced:
+                        i3 += 1
                         continue  # absorbed by combining: drop
                     entry = qe.rob
-                    if entry.state == 2:
-                        continue
                     if entry.seq > unknown_seq:
-                        elig[wi] = qe
-                        wi += 1
-                        continue  # earlier unknown-address store
-                    if qe.penalty and now < qe.addr_known_time + qe.penalty:
-                        elig[wi] = qe
-                        wi += 1
-                        continue  # misprediction recovery
+                        # The list is in age order and unknown_seq is
+                        # fixed for the walk: this load and every later
+                        # one wait on an earlier unknown-address store.
+                        # Leave that suffix where it is.
+                        break
                     if ports_exhausted or (lvc_simple and lvc_avail == 0):
-                        n_stall_lvaq_port += 1
-                        ports_exhausted = True
-                        elig[wi] = qe
-                        wi += 1
-                        continue
+                        if combine_window:
+                            # Absorbed loads may sit among the rest:
+                            # charge load by load, past the tests above.
+                            n_stall_lvaq_port += 1
+                            ports_exhausted = True
+                            elig[wi] = qe
+                            wi += 1
+                            i3 += 1
+                            continue
+                        # No port is left: every remaining load before
+                        # the blocked suffix stalls exactly once and
+                        # stays.  Charge them in one step.
+                        if unknown_seq == inf_seq:
+                            n_stall_lvaq_port += n_el - i3
+                        else:
+                            j = i3 + 1
+                            while j < n_el and elig[j].rob.seq <= unknown_seq:
+                                j += 1
+                            n_stall_lvaq_port += j - i3
+                        break
+                    i3 += 1
                     bucket = lvaq_words_get(qe.word)
                     fwd = False
                     if bucket:
@@ -353,8 +390,8 @@ def bind(state: CoreState):
                             serviced += 1
                             bucket.append(cand.rob)
                             n_lvaq_load_combined += 1
-                if wi < n_el:
-                    del elig[wi:]
+                if wi < i3:
+                    del elig[wi:i3]  # close the gap the serviced left
             lvaq_ns_head = lvaq._ns_head
             while li < n_loads:
                 qe = loads[li]
@@ -367,8 +404,13 @@ def bind(state: CoreState):
                     continue
 
                 # --- fast data forwarding (sp-relative pairs) ------
+                # An issued load cannot fast-forward; for it the search
+                # can only relax the blocking seq to nonsp_unknown_seq,
+                # which is never below unknown_seq.  So it matters only
+                # to an issued load that unknown_seq blocks.
                 blocking_seq = unknown_seq
-                if fast_fwd and qe.sp_based:
+                if fast_fwd and qe.sp_based and (
+                        state_ == 0 or entry.seq > unknown_seq):
                     # Fast-forward source: the reference scan's
                     # outcome is decided by whichever is younger — the
                     # youngest same-key sp store or the youngest
@@ -454,7 +496,9 @@ def bind(state: CoreState):
                 if entry.seq > blocking_seq:
                     continue  # earlier unknown-address store
                 if qe.penalty and now < akt + qe.penalty:
-                    continue  # misprediction recovery
+                    # Misprediction recovery: this rescan uses no
+                    # buckets, so it tests the penalty itself.
+                    continue
                 # A disambiguated load that cannot get a port stalls
                 # identically whether it would forward or access (both
                 # paths charge the same counter), so the forward probe
@@ -599,6 +643,8 @@ def bind(state: CoreState):
             elig = lsq_eligible
             arrivals = lsq_addr_ready_pop(now, None)
             if arrivals is not None:
+                if arrivals[0].penalty and len(arrivals) > 1:
+                    arrivals.sort(key=BY_POS)  # see the LVAQ note
                 if not elig or arrivals[0].pos > elig[-1].pos:
                     elig.extend(arrivals)
                 else:
@@ -621,35 +667,30 @@ def bind(state: CoreState):
                     if j3 < m3:
                         merged.extend(arrivals[j3:])
                     elig[:] = merged
+            # Only this walk services an LSQ load and it drops what it
+            # services, so no eligible load is serviced or completed.
             serviced = 0
             i3 = 0
             wi = 0
             n_el = len(elig)
             while i3 < n_el:
                 qe = elig[i3]
-                i3 += 1
-                if qe.serviced:
-                    continue
                 entry = qe.rob
-                if entry.state == 2:
-                    continue
                 if entry.seq > unknown_seq:
-                    elig[wi] = qe
-                    wi += 1
-                    continue  # earlier unknown-address store
-                if qe.penalty and now < qe.addr_known_time + qe.penalty:
-                    elig[wi] = qe
-                    wi += 1
-                    continue  # misprediction recovery
-                # Port-exhaustion hoist (see LVAQ note): a stalled load
-                # charges the same counter on the forward and access
-                # paths, so skip the forward probe.
+                    break  # blocked suffix (see the LVAQ note)
+                # Port-exhausted tail (see the LVAQ note); a stalled
+                # load charges the same counter on the forward and
+                # access paths, so the forward probe is skipped.
                 if ports_exhausted or (l1_simple and l1_avail == 0):
-                    n_stall_lsq_port += 1
-                    ports_exhausted = True
-                    elig[wi] = qe
-                    wi += 1
-                    continue
+                    if unknown_seq == inf_seq:
+                        n_stall_lsq_port += n_el - i3
+                    else:
+                        j = i3 + 1
+                        while j < n_el and elig[j].rob.seq <= unknown_seq:
+                            j += 1
+                        n_stall_lsq_port += j - i3
+                    break
+                i3 += 1
                 bucket = lsq_words_get(qe.word)
                 fwd = False
                 if bucket:
@@ -724,8 +765,8 @@ def bind(state: CoreState):
                         overflow[ready] = [entry]
                     else:
                         bucket.append(entry)
-            if wi < n_el:
-                del elig[wi:]
+            if wi < i3:
+                del elig[wi:i3]
             if serviced:
                 lsq_unserviced -= serviced
 

@@ -39,7 +39,10 @@ Safety rules (a config that cannot be folded under them raises
 - boolean folding drops identity operands and truncates at a constant
   short-circuit terminator — exact for truth-value uses, which is the
   only way the stage sources consume the folded names (pinned by the
-  cross-kernel equivalence suite).
+  cross-kernel equivalence suite);
+- once folded, a name has no load left, so its call-free top-level
+  binding is dropped: the kernel keeps fewer locals, and the cycle
+  loop's stay below index 256, where no access needs ``EXTENDED_ARG``.
 
 Cache keying: ``(kernel code salt, canonical describe_machine JSON)``.
 The code salt hashes the bytes of the five stage modules, the composer
@@ -66,7 +69,8 @@ import gc as _gc
 import hashlib
 import json
 from types import CodeType
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Any, Container, Dict, FrozenSet, List, Optional,
+                    Tuple)
 
 from repro.core.stages import compose
 from repro.core.stages.compose import _STAGES, Composition, compose_kernel
@@ -124,26 +128,45 @@ _FOLD_NAMES = CONST_NAMES | {"gates"}
 _Plan = List[Tuple[str, CodeType]]
 
 
+def _call_free_target(
+    stmt: ast.stmt, names: Optional[Container[str]] = None,
+) -> Optional[str]:
+    """The name *stmt* binds, if it is a single-name assignment (to one
+    of *names*, when given) whose right-hand side holds no call; else
+    None.
+
+    Only such a binding is free of side effects: a call may be
+    effectful (``frontend.prepare`` must run exactly once, in the
+    kernel).  *names* is tested before the right-hand side is walked.
+    """
+    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)):
+        return None
+    target = stmt.targets[0].id
+    if names is not None and target not in names:
+        return None
+    if any(isinstance(n, ast.Call) for n in ast.walk(stmt.value)):
+        return None
+    return target
+
+
 def _prologue_plan(fn: ast.FunctionDef) -> _Plan:
     """The top-level bindings the :data:`CONST_NAMES` values depend on.
 
-    Only call-free single-name assignments qualify: a right-hand side
-    containing a call may be effectful (``frontend.prepare`` must run
-    exactly once, in the kernel).  A binding is kept when it binds a
+    Only call-free single-name assignments qualify
+    (:func:`_call_free_target`).  A binding is kept when it binds a
     listed name or a name a later kept binding loads, so evaluating the
     plan in order gives each listed name the value evaluating every
     qualifying binding would.
     """
     candidates = []
     for stmt in fn.body:
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)):
+        target = _call_free_target(stmt)
+        if target is None:
             continue
-        nodes = list(ast.walk(stmt.value))
-        if any(isinstance(n, ast.Call) for n in nodes):
-            continue
-        loads = {n.id for n in nodes if isinstance(n, ast.Name)}
-        candidates.append((stmt.targets[0].id, loads, stmt.value))
+        loads = {n.id for n in ast.walk(stmt.value)
+                 if isinstance(n, ast.Name)}
+        candidates.append((target, loads, stmt.value))
     needed = set(CONST_NAMES)
     plan: _Plan = []
     for target, loads, value in reversed(candidates):
@@ -365,7 +388,20 @@ def _specialize(processor, state) -> Tuple[ast.Module, Dict[str, Any]]:
 
 def _fold(composition: Composition,
           const_map: Dict[str, Any]) -> ast.Module:
-    return _Folder(const_map, composition.touched).fold(composition.tree)
+    """The composition folded under *const_map*, less the bindings the
+    fold made dead.
+
+    A folded name is stored once and every load of it is now a literal,
+    so its top-level binding only takes a local slot; enough of them
+    push the cycle loop's temporaries past index 255.  A binding whose
+    right-hand side holds a call stays: ``gates = frontend.prepare(...)``
+    must run.
+    """
+    folded = _Folder(const_map, composition.touched).fold(composition.tree)
+    fn = folded.body[0]
+    body = [stmt for stmt in fn.body
+            if _call_free_target(stmt, const_map) is None]
+    return _replace(folded, body=[_replace(fn, body=body)])
 
 
 def _render(notation: str, folded: ast.Module,

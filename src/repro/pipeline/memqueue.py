@@ -25,11 +25,11 @@ a serviced-prefix cursor, lazy cursors over the unknown-address store
 lists (an address, once known, never becomes unknown again), the
 known-address stores bucketed by word, the sp-relative stores by
 (frame, offset) key, the non-sp stores in age order, and the loads
-bucketed by the cycle their address becomes known.  The scan-based
-semantics those indexes implement live, frozen, in
-``repro.perf.reference._RefMemQueue``; the golden equivalence suite and
-the micro-streams in ``tests/core/test_processor.py`` pin the kernel to
-them.
+bucketed by the first cycle they can act (address known, misprediction
+penalty served).  The scan-based semantics those indexes implement
+live, frozen, in ``repro.perf.reference._RefMemQueue``; the golden
+equivalence suite and the micro-streams in
+``tests/core/test_processor.py`` pin the kernel to them.
 """
 
 from __future__ import annotations
@@ -105,9 +105,12 @@ class MemQueue:
         self._ns_head = 0
         self._stores_by_word: Dict[int, List[MemQueueEntry]] = {}
         self._sp_stores: Dict[Tuple[int, int], List[MemQueueEntry]] = {}
-        #: Loads becoming address-ready, bucketed by that cycle: filled
-        #: by the issue stage's address generation, drained by the
-        #: memory stage's eligibility walk.
+        #: Loads bucketed by the first cycle they can act: the cycle
+        #: their address becomes known, plus the misprediction penalty
+        #: for a load in recovery.  Filled by the issue stage's address
+        #: generation, in age order except that a bucket's penalized
+        #: loads come first; drained, sorted by age, by the memory
+        #: stage's eligibility walk.
         self._addr_ready: Dict[int, List[MemQueueEntry]] = {}
 
     def __len__(self) -> int:

@@ -285,3 +285,24 @@ def test_cold_kernel_leaves_no_cyclic_ast_garbage():
         if enabled:
             gc.enable()
     assert cyclic == []
+
+
+@pytest.mark.parametrize(
+    "notation", [name for name, _kw in GOLDEN_CONFIGS] + ["4+4:opt"])
+def test_cycle_loop_locals_sit_below_index_256(notation):
+    """Every local the cycle loop touches has an index below 256, so its
+    accesses carry no ``EXTENDED_ARG``: the fold drops the prologue
+    bindings of the constants it substituted."""
+    import ast
+
+    from repro.runtime.job import parse_notation
+
+    config = parse_notation(notation)
+    kernel = _cold_kernel(config)
+    index = {name: i for i, name in enumerate(kernel.__code__.co_varnames)}
+    tree = ast.parse(specialize.cached_source(config))
+    loop = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.While)
+                and ast.unparse(node.test) == "committed_total < total")
+    used = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+    assert sorted(name for name in used if index.get(name, 0) > 255) == []

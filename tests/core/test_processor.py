@@ -238,6 +238,133 @@ def test_non_sp_load_never_fast_forwards():
     assert result.counters.get("lvaq.forwards") == 1
 
 
+# -- port stalls -------------------------------------------------------------
+#
+# Each ready load that finds no free port charges one stall per cycle.
+# These streams keep more loads ready than there are ports, among
+# loads that are blocked, in misprediction recovery or issued sp-based
+# ones, and pin every count to the frozen reference core.
+
+WARM_LINES = [DATA_ADDR + 32 * i for i in range(16)]
+STACK_SLOTS = [STACK_ADDR + 4 * i for i in range(16)]
+
+
+def test_port_starved_loads_on_two_plus_zero():
+    insts = ([load(8 + i % 8, a) for i, a in enumerate(WARM_LINES)]
+             + [store(WARM_LINES[3])]
+             + [load(8 + i % 8, a) for i, a in enumerate(WARM_LINES * 6)])
+    result = run_checked(insts, l1_ports=2)
+    assert result.counters.get("stall.lsq_port") > 0
+    assert result.counters.get("lsq.forwards") > 0
+
+
+def test_port_starved_loads_on_one_plus_one():
+    insts = []
+    for i in range(96):
+        insts.append(load(8 + i % 8, WARM_LINES[i % 16]))
+        insts.append(load(8 + i % 8, STACK_SLOTS[i % 16], local=True))
+    result = run_checked(insts, l1_ports=1, lvc_ports=1)
+    assert result.counters.get("stall.lsq_port") > 0
+    assert result.counters.get("stall.lvaq_port") > 0
+
+
+def test_loads_behind_an_unknown_address_store_are_not_charged():
+    # The store's base register waits on a divide, so the loads younger
+    # than it stay blocked while the older ones exhaust the ports.
+    slow_base = DynInst(IDIV, dst=9, srcs=())
+    warm = [load(8, a) for a in WARM_LINES]
+    older = [load(8 + i % 8, WARM_LINES[i]) for i in range(8)]
+    younger = [load(8 + i % 8, WARM_LINES[8 + i]) for i in range(8)]
+    blocker = store(DATA_ADDR + 4096, srcs=(9, 6))
+    blocked = run_checked(warm + [slow_base] + older + [blocker] + younger)
+    alone = run_checked(warm + [slow_base] + older + [blocker])
+    stalls = blocked.counters.get("stall.lsq_port")
+    assert stalls > 0
+    # Released together once the store's address is known, the eight
+    # younger loads take four cycles on two ports: 6 + 4 + 2 stalls,
+    # and none for the cycles they waited.
+    assert stalls - alone.counters.get("stall.lsq_port") == 6 + 4 + 2
+
+
+def ambiguous(dst, addr, is_local):
+    """A load the compiler could not classify, all at one pc."""
+    return DynInst(LOAD, dst=dst, srcs=(5,), addr=addr, size=4,
+                   local_hint=None, is_local=is_local, pc=77)
+
+
+def test_misclassified_load_among_port_stalled_loads():
+    def burst():
+        return ([load(8 + i % 8, WARM_LINES[i]) for i in range(8)]
+                + [load(8 + i % 8, STACK_SLOTS[i], local=True)
+                   for i in range(8)])
+
+    # The cold predictor guesses non-local for the first (local)
+    # instance and, trained, local for the second (non-local) one: both
+    # go to their actual queue and wait out the misprediction penalty
+    # while the loads around them stall on the ports.
+    insts = (burst() + [ambiguous(8, STACK_SLOTS[9], True)]
+             + burst() + [ambiguous(9, WARM_LINES[12], False)] + burst())
+    result = run_checked(insts, l1_ports=1, lvc_ports=1)
+    assert result.counters.get("classify.mispredictions") == 2
+    assert result.counters.get("stall.lsq_port") > 0
+    assert result.counters.get("stall.lvaq_port") > 0
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["lsq", "lvaq"])
+@pytest.mark.parametrize("store_between", [False, True],
+                         ids=["plain", "store-between"])
+def test_penalized_load_and_older_load_act_in_age_order(local,
+                                                        store_between):
+    # The younger, misclassified load issues at cycle t and waits out
+    # the penalty P; the older load of the same queue, its base at the
+    # end of a P-long ALU chain, issues at t + P.  Both can act from
+    # t + P + 1, and the older one goes first: it takes the one port,
+    # and it is serviced although an unknown-address store between the
+    # two blocks the younger one.  The ALU chain after it shows when.
+    penalty = MachineConfig.baseline().decouple.mispredict_penalty
+    addrs = STACK_SLOTS if local else WARM_LINES
+    # A local instance trains the cold predictor to guess local, so the
+    # non-local one is misclassified too.
+    train = [] if local else [ambiguous(14, STACK_SLOTS[4], True)]
+    chain = [alu(9)] + [alu(9, (9,)) for _ in range(penalty - 1)]
+    older = load(10, addrs[0], local=local, srcs=(9,))
+    between = []
+    if store_between:
+        between = [DynInst(IDIV, dst=11, srcs=()),
+                   store(addrs[8] + 4096, local=local, srcs=(11, 6))]
+    younger = ambiguous(12, addrs[9], local)
+    use = [alu(13, (10,))] + [alu(13, (13,)) for _ in range(4)]
+    result = run_checked(train + chain + [older] + between + [younger]
+                         + use, l1_ports=1, lvc_ports=1)
+    assert result.counters.get("classify.mispredictions") == len(train) + 1
+    if not store_between:
+        stall = "stall.lvaq_port" if local else "stall.lsq_port"
+        assert result.counters.get(stall) == 1
+
+
+def test_issued_sp_loads_behind_an_unknown_address_store():
+    # sp-based loads at offsets no earlier sp store shares: once issued,
+    # only an unknown-address non-sp store can block them.
+    slow_base = DynInst(IDIV, dst=9, srcs=())
+
+    def sp_load(i):
+        return load(8 + i % 8, STACK_ADDR + 4 + 4 * i, local=True,
+                    srcs=(29,), sp_based=True, frame=1, off=4 + 4 * i)
+
+    older = [sp_load(i) for i in range(6)]
+    younger = [sp_load(6 + i) for i in range(10)]
+    sp_blocker = store(STACK_ADDR, local=True, srcs=(9, 6), sp_based=True,
+                       frame=1, off=0)
+    nonsp_blocker = store(STACK_ADDR + 64, local=True, srcs=(9, 6))
+    passes = run_checked([slow_base] + older + [sp_blocker] + younger,
+                         l1_ports=1, lvc_ports=1, fast_forwarding=True)
+    waits = run_checked([slow_base] + older + [nonsp_blocker] + younger,
+                        l1_ports=1, lvc_ports=1, fast_forwarding=True)
+    assert passes.counters.get("stall.lvaq_port") > 0
+    assert waits.counters.get("stall.lvaq_port") > 0
+    assert passes.cycles < waits.cycles
+
+
 def test_full_lsq_stalls_dispatch():
     # Cold misses to distinct lines hold their LSQ entries for the
     # memory latency, so a four-entry LSQ fills behind them.
