@@ -8,8 +8,8 @@ Subcommands:
   on one or more ``(N+M)`` machine configurations;
 * ``stats file.mc``    — trace characterisation (local fraction, frames,
   reuse, classification);
-* ``perf``             — benchmark the simulator core itself against the
-  frozen seed model (see :mod:`repro.perf`);
+* ``perf --emit-kernel N+M[:opt]`` — print the specialized kernel source
+  generated for one machine (see docs/perf.md);
 * ``fuzz``             — differential fuzzing campaign: random programs
   checked by the ``opt``/``timing``/``golden``/``analyze``/``replay``/
   ``tv`` oracles (see :mod:`repro.fuzz`);
@@ -191,45 +191,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.perf import bench
+    from repro.core.stages.specialize import emit_source
 
-    if args.emit_kernel:
-        from repro.core.stages.specialize import emit_source
-
-        print(emit_source(_parse_config(args.emit_kernel)))
-        return 0
-    if args.profile:
-        print(bench.profile_run(args.profile, length=args.length,
-                                seed=args.seed))
-        return 0
-    workloads = args.workloads or (
-        bench.QUICK_WORKLOADS if args.quick else bench.DEFAULT_WORKLOADS)
-    length = args.length
-    if length is None:
-        length = bench.QUICK_LENGTH if args.quick else bench.DEFAULT_LENGTH
-    report = bench.run_benchmark(
-        workloads=workloads,
-        config_name=args.config,
-        length=length,
-        seed=args.seed,
-        warmup=args.warmup,
-        repeat=args.repeat,
-        compare=not args.no_compare,
-        replay=args.replay,
-        min_repeat=args.min_repeat,
-    )
-    print(bench.format_report(report))
-    if args.output:
-        bench.write_report(report, args.output)
-        print(f"\nwrote {args.output}")
-    if args.check:
-        baseline = bench.load_report(args.check)
-        failures = bench.check_regression(report, baseline,
-                                          tolerance=args.tolerance)
-        for failure in failures:
-            print(f"repro-cc perf: {failure}", file=sys.stderr)
-        if failures:
-            return 1
+    print(emit_source(_parse_config(args.emit_kernel)))
     return 0
 
 
@@ -598,45 +562,11 @@ def make_parser() -> argparse.ArgumentParser:
     stats_p.set_defaults(func=cmd_stats)
 
     perf_p = sub.add_parser(
-        "perf", help="benchmark the simulator core vs the seed model")
-    perf_p.add_argument("--quick", action="store_true",
-                        help="small workload subset at a shorter length")
-    perf_p.add_argument("--workloads", nargs="+", metavar="NAME",
-                        help="explicit workload list (default: SPEC95 set)")
-    perf_p.add_argument("--config", default="2+2:opt",
-                        help="golden config notation (default 2+2:opt, "
-                             "the paper's Figure 9 machine)")
-    perf_p.add_argument("--length", type=int, default=None,
-                        help="dynamic instructions per workload")
-    perf_p.add_argument("--seed", type=int, default=1,
-                        help="trace-generation seed")
-    perf_p.add_argument("--warmup", type=int, default=1,
-                        help="discarded rounds per workload (default 1)")
-    perf_p.add_argument("--repeat", type=int, default=3,
-                        help="timed rounds per workload (default 3)")
-    perf_p.add_argument("--min-repeat", type=int, default=0,
-                        help="floor on timed rounds (reduces noise in the "
-                             "trimmed-mean numbers without editing "
-                             "--repeat everywhere)")
-    perf_p.add_argument("--no-compare", action="store_true",
-                        help="time only the optimized core")
-    perf_p.add_argument("--replay", action="store_true",
-                        help="also benchmark trace replay vs "
-                             "execution-driven simulation")
-    perf_p.add_argument("--output", metavar="PATH",
-                        help="write BENCH_core.json here")
-    perf_p.add_argument("--check", metavar="BASELINE",
-                        help="fail if throughput regresses vs this "
-                             "BENCH_core.json")
-    perf_p.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional regression for --check "
-                             "(default 0.20)")
-    perf_p.add_argument("--profile", metavar="WORKLOAD",
-                        help="cProfile one workload instead of benchmarking")
-    perf_p.add_argument("--emit-kernel", metavar="CONFIG",
+        "perf", help="print the specialized kernel source of one machine")
+    perf_p.add_argument("--emit-kernel", metavar="CONFIG", required=True,
                         help="print the constant-folded kernel source "
                              "generated for the machine N+M[:opt] "
-                             "(e.g. 2+2:opt, 4+4:opt) and exit")
+                             "(e.g. 2+2:opt, 4+4:opt)")
     perf_p.set_defaults(func=cmd_perf)
 
     fuzz_p = sub.add_parser(

@@ -1,7 +1,8 @@
-"""Performance tooling: golden-equivalence harness and benchmark runner.
+"""The frozen references the simulator is checked against.
 
 ``repro.perf.reference`` keeps a frozen copy of the straightforward
-simulator core; ``repro.perf.golden`` checks the optimized core against it
-bit-for-bit; ``repro.perf.bench`` measures simulated-instructions-per-
-second and emits ``BENCH_core.json`` (run via ``repro-cc perf``).
+simulator core and ``repro.perf.reference_vm`` one of the functional VM;
+``repro.perf.golden`` checks the optimized core and VM against them
+bit-for-bit.  Simulator speed is measured by perfbench (``perfbench/``,
+``BENCHMARK.json``; see docs/perf.md).
 """

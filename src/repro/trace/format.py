@@ -398,12 +398,11 @@ def read_trace(path: str, verify: bool = True) -> Trace:
     return decode_trace(data, origin=path, verify=verify)
 
 
-def read_trace_header(path: str) -> Dict[str, Any]:
-    """Parsed header of a trace file without reading the payload.
+def _read_header(path: str) -> Tuple[Dict[str, Any], int]:
+    """Parsed header of a trace file and the payload's offset in it.
 
-    The cheap identity probe: ``payload_sha256`` from the returned
-    header is what derived artifacts (the predecode sidecar) are
-    content-addressed to.
+    Two reads, the magic and header length and then the header; the
+    payload is never read.
     """
     try:
         with open(path, "rb") as handle:
@@ -416,8 +415,17 @@ def read_trace_header(path: str) -> Dict[str, Any]:
             header_bytes = handle.read(header_len)
     except OSError as exc:
         raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    header, _offset = _parse_header(prefix + header_bytes, origin=path)
-    return header
+    return _parse_header(prefix + header_bytes, origin=path)
+
+
+def read_trace_header(path: str) -> Dict[str, Any]:
+    """Parsed header of a trace file without reading the payload.
+
+    The cheap identity probe: ``payload_sha256`` from the returned
+    header is what derived artifacts (the predecode sidecar) are
+    content-addressed to.
+    """
+    return _read_header(path)[0]
 
 
 def write_trace(trace: Trace, path: str,
@@ -434,20 +442,11 @@ def trace_info(path: str) -> Dict[str, Any]:
     The declared payload length is checked against the file size, so a
     truncated file is reported here too.
     """
+    header, offset = _read_header(path)
     try:
         file_size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            prefix = handle.read(len(MAGIC) + _HEADER_LEN.size)
-            if len(prefix) < len(MAGIC) + _HEADER_LEN.size:
-                raise TraceError(f"{path}: truncated trace (no header)")
-            if prefix[:len(MAGIC)] != MAGIC:
-                raise TraceError(f"{path}: not a repro trace (bad magic)")
-            (header_len,) = _HEADER_LEN.unpack_from(prefix, len(MAGIC))
-            header_bytes = handle.read(header_len)
     except OSError as exc:
         raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    header, offset = _parse_header(
-        prefix + header_bytes, origin=path)
     payload_len = file_size - offset
     by_name = _sections_by_name(header, payload_len, path)
     declared = max(s["offset"] + s["bytes"] for s in by_name.values())

@@ -53,8 +53,9 @@ _FP_REGS = tuple(range(36, 52))
 #: Target fraction of branch instructions (typical integer code).
 _BRANCH_FRAC = 0.12
 
-#: Number of static "ambiguous" memory sites (pointer accesses whose
-#: region the compiler could not prove — classified by the predictor).
+#: Number of static "ambiguous" memory sites.  An ambiguous site always
+#: carries a local reference, but the compiler gives it no hint, so only
+#: the core's predictor classifies it.
 _AMBIG_SITES = 32
 
 #: Body-instruction categories in steering-draw order.  Counts, targets
@@ -114,8 +115,11 @@ class SyntheticGenerator:
             _Frame(0, 8, STACK_BASE - 32, 1 << 60, ())
         ]
         self._sweep = 0
-        self._ambig_bias = [self._random() < 0.5
-                            for _ in range(_AMBIG_SITES)]
+        # Nothing reads these draws, but every stream (and each pin and
+        # reference digest taken from one) follows from the RNG state
+        # after them, so they stay.
+        for _ in range(_AMBIG_SITES):
+            self._random()
         # A scheduled spill-reload: (frame, byte offset, not-before index).
         self._pending_reload = None
         # Where the first interleaving phase starts.
