@@ -63,7 +63,8 @@ iteration (:meth:`Processor.cycles`): :meth:`Processor.run` drains one,
 and :func:`repro.core.multicore.run_mix` steps one per core of a mix on
 a shared clock, so solo runs and mixes share one cycle loop.
 The performance tricks the components inherit from the fused-loop
-ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes,
+ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes
+(and the MULT/DIV wait lists beside them),
 the ROB free list, simple port arbiters and ALU pools as local integer
 budgets, counters as plain ints folded once at the end, the cycle skip
 to the next scheduled event, GC paused for the run — are documented in
@@ -129,6 +130,10 @@ class Processor:
         # out of order and go through a (seq, entry) heap.
         self._ready_fifo: "deque[RobEntry]" = deque()
         self._issuable: List[Tuple[int, RobEntry]] = []
+        # Ops a full MULT/DIV pool refused wait outside both lanes, one
+        # seq-ordered (seq, entry) list per pool, until a unit frees.
+        self._imult_wait: List[Tuple[int, RobEntry]] = []
+        self._fmult_wait: List[Tuple[int, RobEntry]] = []
         self._producer: List[Optional[RobEntry]] = [None] * 64
         self._seq = 0
         self._committed = 0
@@ -235,6 +240,8 @@ class Processor:
         rob_size = state.rob_size
         ready_fifo = state.ready_fifo
         woken = state.woken
+        imult_wait = state.imult_wait
+        fmult_wait = state.fmult_wait
         sleep = state.sleep
         store_done = state.store_done
         ring = state.ring
@@ -309,7 +316,7 @@ class Processor:
                      lsq_unserviced, lvaq_unserviced) = memory_tick(
                         now, l1_avail, lvc_avail,
                         lsq_unserviced, lvaq_unserviced)
-                if sleep or ready_fifo or woken:
+                if sleep or ready_fifo or woken or imult_wait or fmult_wait:
                     issue_tick(now)
                 if index < total:
                     (index, rob_count,
@@ -324,6 +331,8 @@ class Processor:
                 # accounting.
                 if (not ready_fifo
                         and not woken
+                        and not imult_wait
+                        and not fmult_wait
                         and not store_done
                         and (index >= total or rob_count >= rob_size)
                         and lsq_unserviced == 0
@@ -414,6 +423,8 @@ class Processor:
         pending_events = sum(
             len(b) for b in self._ring if b
         ) + sum(len(b) for b in self._overflow.values())
+        issuable = (len(self._ready_fifo) + len(self._issuable)
+                    + len(self._imult_wait) + len(self._fmult_wait))
         queues = "; ".join(
             f"{queue.name} {len(queue.entries)}/{queue.size} "
             f"(unserviced_loads={queue.unserviced_loads}, "
@@ -426,7 +437,7 @@ class Processor:
             f"dispatch index {index}; "
             f"rob {len(rob_entries)}/{self._rob_size} head={head!r}; "
             f"{queues}; "
-            f"issuable={len(self._ready_fifo) + len(self._issuable)}; "
+            f"issuable={issuable}; "
             f"scheduled_events={pending_events}"
         )
 

@@ -355,7 +355,7 @@ def _fused_run(self, state):
             if lsq_unserviced or lvaq_unserviced:
                 TICK_memory
             # ---- issue --------------------------------------------
-            if sleep or ready_fifo or woken:
+            if sleep or ready_fifo or woken or imult_wait or fmult_wait:
                 TICK_issue
             # ---- dispatch -----------------------------------------
             if index < total:
@@ -363,6 +363,8 @@ def _fused_run(self, state):
             # ---- cycle skip ---------------------------------------
             if (not ready_fifo
                     and not woken
+                    and not imult_wait
+                    and not fmult_wait
                     and not store_done
                     and (index >= total or rob_count >= rob_size)
                     and lsq_unserviced == 0

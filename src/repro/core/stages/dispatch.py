@@ -77,8 +77,8 @@ def bind(state: CoreState):
     lvaq_entries = lvaq.entries
     lsq_size = lsq.size
     lvaq_size = lvaq.size
-    lsq_loads_list = lsq._loads
-    lvaq_loads_list = lvaq._loads
+    fast_fwd = state.fast_fwd
+    lvaq_sp_loads = lvaq._sp_loads
     lsq_unknown = lsq._unknown_stores
     lvaq_unknown = lvaq._unknown_stores
     lsq_un_nonsp = lsq._unknown_nonsp_stores
@@ -135,8 +135,7 @@ def bind(state: CoreState):
              fifo_append=fifo_append, lsq=lsq, lvaq=lvaq,
              lsq_entries=lsq_entries, lvaq_entries=lvaq_entries,
              lsq_size=lsq_size, lvaq_size=lvaq_size,
-             lsq_loads_list=lsq_loads_list,
-             lvaq_loads_list=lvaq_loads_list,
+             fast_fwd=fast_fwd, lvaq_sp_loads=lvaq_sp_loads,
              lsq_unknown=lsq_unknown, lvaq_unknown=lvaq_unknown,
              lsq_un_nonsp=lsq_un_nonsp, lvaq_un_nonsp=lvaq_un_nonsp,
              lsq_ns=lsq_ns, lvaq_ns=lvaq_ns,
@@ -294,7 +293,10 @@ def bind(state: CoreState):
                                 lvaq_un_nonsp.append(qe)
                                 lvaq_ns.append(qe)
                         else:
-                            lvaq_loads_list.append(qe)
+                            if fast_fwd and sp_based:
+                                # A candidate for fast forwarding until
+                                # it issues (the memory stage's walk).
+                                lvaq_sp_loads.append(qe)
                             lvaq_unserviced += 1
                     else:
                         qe.pos = lsq_base + len(lsq_entries)
@@ -308,7 +310,6 @@ def bind(state: CoreState):
                                 lsq_un_nonsp.append(qe)
                                 lsq_ns.append(qe)
                         else:
-                            lsq_loads_list.append(qe)
                             lsq_unserviced += 1
                     if is_store:
                         # STA/STD split (as in sim-outorder and the R10000

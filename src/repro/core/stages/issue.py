@@ -17,11 +17,20 @@ per cycle: nothing but this stage consumes them, so a skipped tick's
 stale budget is unobservable.  ``finish(final_now)`` reconstructs the
 exact end-of-run pool state from the last tick cycle.
 
+An op its MULT/DIV pool refuses waits outside the lanes, in that pool's
+seq-ordered wait list, until a unit frees.  Each tick moves the k oldest
+waiters back into the heap lane, k being the pool's units free now, and
+charges every other waiter its ``stall.fu`` without examining it: the k
+moved ones are older and draw on the same pool, so by a held op's turn
+each has taken a unit or found none, and no unit frees within a cycle.
+A held op is charged only if the width budget lasts to its turn, as it
+would be examined only then.
+
 Interface: ``bind(state) -> (tick, finish)``.
 
 ``tick(now)``
-    may be called every cycle; the kernel skips it when the sleep dict
-    and both lanes are empty (provably a no-op).
+    may be called every cycle; the kernel skips it when the sleep dict,
+    both lanes and both wait lists are empty (provably a no-op).
 ``finish(final_now)``
     writes the ALU budgets back to the pool and returns this stage's
     counter contributions.
@@ -29,6 +38,7 @@ Interface: ``bind(state) -> (tick, finish)``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from heapq import heappop, heappush
 
 from repro.core.stages.state import MASK, CoreState
@@ -57,12 +67,14 @@ def bind(state: CoreState):
     lvaq_words = lvaq._stores_by_word
     agen_ready_lsq = lsq._addr_ready
     agen_ready_lvaq = lvaq._addr_ready
-    # The memory stage's event-driven walk consumes the LVAQ bucket only
-    # when fast forwarding is off (sp-based loads may be serviced before
-    # address generation, so the fast-forwarding walk rescans the queue).
-    lvaq_track = not state.fast_fwd
+    # (seq, entry) of the ops each MULT/DIV pool refused, in seq order,
+    # and the pool's per-unit busy-until times.
+    imult_wait = state.imult_wait
+    fmult_wait = state.fmult_wait
 
     fus = state.fus
+    imult_free = fus._imult.free_at
+    fmult_free = fus._fmult.free_at
     fus_try_take = fus.try_take
     n_ialu = fus.ialu
     n_falu = fus.falu
@@ -85,7 +97,9 @@ def bind(state: CoreState):
              sleep_pop=sleep_pop, store_done_append=store_done_append,
              lsq_words=lsq_words, lvaq_words=lvaq_words,
              agen_ready_lsq=agen_ready_lsq,
-             agen_ready_lvaq=agen_ready_lvaq, lvaq_track=lvaq_track,
+             agen_ready_lvaq=agen_ready_lvaq,
+             imult_wait=imult_wait, fmult_wait=fmult_wait,
+             imult_free=imult_free, fmult_free=fmult_free,
              fus_try_take=fus_try_take, n_ialu=n_ialu, n_falu=n_falu):
         nonlocal left_after, last_tick, n_stall_fu
         # Refill the pipelined ALU budgets (tick-local; saved at the
@@ -98,14 +112,37 @@ def bind(state: CoreState):
             if slept is not None:
                 for entry in slept:
                     heappush(woken, (entry.seq, entry))
+        # MULT/DIV waiters: one per unit free now re-enters the heap
+        # lane, oldest first; the rest are held and charged here (the
+        # module docstring says why they would be refused).
+        if imult_wait:
+            k = 0
+            for t in imult_free:
+                if t <= now:
+                    k += 1
+            if k:
+                for item in imult_wait[:k]:
+                    heappush(woken, item)
+                del imult_wait[:k]
+            n_stall_fu += len(imult_wait)
+        if fmult_wait:
+            k = 0
+            for t in fmult_free:
+                if t <= now:
+                    k += 1
+            if k:
+                for item in fmult_wait[:k]:
+                    heappush(woken, item)
+                del fmult_wait[:k]
+            n_stall_fu += len(fmult_wait)
+        budget = width
+        deferred = None
         if not woken and ready_fifo:
             # Common case: the heap lane is empty, so the FIFO lane
             # alone is the exact oldest-first order — drain it without
             # the per-entry lane merge.  Deferred entries go to the
             # heap lane *after* the loop, so the lane stays empty
             # throughout.
-            budget = width
-            deferred = None
             while budget and ready_fifo:
                 entry = ready_fifo[0]
                 if entry.state != 0:
@@ -174,12 +211,11 @@ def bind(state: CoreState):
                             # can act (see the note below).
                             when = now + 1 + qe.penalty
                             if qe.use_lvc:
-                                if lvaq_track:
-                                    b2 = agen_ready_lvaq.get(when)
-                                    if b2 is None:
-                                        agen_ready_lvaq[when] = [qe]
-                                    else:
-                                        b2.append(qe)
+                                b2 = agen_ready_lvaq.get(when)
+                                if b2 is None:
+                                    agen_ready_lvaq[when] = [qe]
+                                else:
+                                    b2.append(qe)
                             else:
                                 b2 = agen_ready_lsq.get(when)
                                 if b2 is None:
@@ -196,12 +232,7 @@ def bind(state: CoreState):
                         ring[slot2] = [entry]
                     else:
                         bucket.append(entry)
-            if deferred:
-                for entry in deferred:
-                    heappush(woken, (entry.seq, entry))
         elif ready_fifo or woken:
-            budget = width
-            deferred = None
             while budget:
                 # Merge the two seq-ordered lanes: oldest first.
                 if ready_fifo:
@@ -306,12 +337,11 @@ def bind(state: CoreState):
                             # walk puts that bucket in age order.
                             when = now + 1 + qe.penalty
                             if qe.use_lvc:
-                                if lvaq_track:
-                                    b2 = agen_ready_lvaq.get(when)
-                                    if b2 is None:
-                                        agen_ready_lvaq[when] = [qe]
-                                    else:
-                                        b2.append(qe)
+                                b2 = agen_ready_lvaq.get(when)
+                                if b2 is None:
+                                    agen_ready_lvaq[when] = [qe]
+                                else:
+                                    b2.append(qe)
                             else:
                                 b2 = agen_ready_lsq.get(when)
                                 if b2 is None:
@@ -330,11 +360,29 @@ def bind(state: CoreState):
                         ring[slot2] = [entry]
                     else:
                         bucket.append(entry)
-            if deferred:
-                # Deferred entries re-enter through the heap lane
-                # regardless of origin; the merge restores order.
-                for entry in deferred:
+        if not budget and (imult_wait or fmult_wait):
+            # The width ran out at `entry`, the op that took the last
+            # slot: the held waiters younger than it were never reached,
+            # so take back their charge.
+            key = (entry.seq,)
+            n_stall_fu -= (len(imult_wait) - bisect_left(imult_wait, key)
+                           + len(fmult_wait) - bisect_left(fmult_wait, key))
+        if deferred:
+            for entry in deferred:
+                kind = fu_kind[fu_of[entry.inst]]
+                if kind < 2:
+                    # The ALU budgets refill next cycle: back through
+                    # the heap lane, whatever the origin; the merge
+                    # restores order.
                     heappush(woken, (entry.seq, entry))
+                    continue
+                # No MULT/DIV unit frees before next cycle: wait
+                # outside the lanes.
+                wait = imult_wait if kind == 2 else fmult_wait
+                if wait and wait[-1][0] > entry.seq:
+                    insort(wait, (entry.seq, entry))
+                else:
+                    wait.append((entry.seq, entry))
         left_after = (ialu_left, falu_left)
 
     def finish(final_now):

@@ -14,12 +14,28 @@ walk stops at the first load an older unknown-address store blocks
 (every later one is blocked too), and once no port is left it charges
 each remaining load before that point its port stall in one step: a
 cycle costs what the loads that act cost, not the loads that wait.
-The counts are exactly those of visiting every load.  The LVAQ side
-adds the paper's fast data forwarding (sp-relative (frame, offset)
-matching before address generation) and access combining (following
-same-line loads absorbed into one port transaction); with fast
-forwarding enabled the LVAQ keeps the full pending-load rescan, since
-sp-based loads can be serviced before their address is generated.
+The counts are exactly those of visiting every load.
+
+The LVAQ side adds the paper's access combining (following same-line
+loads absorbed into one port transaction) and fast data forwarding
+(sp-relative (frame, offset) matching before address generation).  A
+load combining absorbed stays in the eligible list until the walk
+reaches it; it has arrived, no store blocks it and it is younger than
+the load that absorbed it, so whenever the ports run out it sits in the
+charged tail, and the stage keeps a count of those loads to take off.
+Under fast forwarding the walk merges, by queue position, the eligible
+list with the sp-based loads not yet issued (``MemQueue._sp_loads``,
+filled by dispatch and dropped from lazily once a load has issued or
+been fast-forwarded): such a load has no address, so it can act only
+by fast forwarding, and the walk runs the source search for it.  An
+issued sp-based load that only an unknown-address sp store blocks (its
+seq is past the oldest unknown-address store but not past the oldest
+unknown-address non-sp store: the *relaxable band*) is searched too,
+and is eligible when the search proves its offsets independent of
+every such store; the eligible side stops at the first load past the
+band.  Once the ports run out, the band and the candidates are charged
+one by one.  On machines without fast forwarding the specializer folds
+the merge away.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
@@ -57,8 +73,6 @@ def bind(state: CoreState):
     lvaq = state.lvaq
     lsq_entries = lsq.entries
     lvaq_entries = lvaq.entries
-    lsq_loads_list = lsq._loads
-    lvaq_loads_list = lvaq._loads
     lsq_unknown = lsq._unknown_stores
     lvaq_unknown = lvaq._unknown_stores
     lvaq_un_nonsp = lvaq._unknown_nonsp_stores
@@ -66,21 +80,20 @@ def bind(state: CoreState):
     lsq_words_get = lsq._stores_by_word.get
     lvaq_words_get = lvaq._stores_by_word.get
     lvaq_sp_get = lvaq._sp_stores.get
+    lvaq_sp_loads = lvaq._sp_loads
     # Event-driven eligibility: issue's address generation buckets each
     # load by the first cycle it can act; the walk drains the bucket for
     # ``now`` into an age-ordered eligible list and visits only those.
-    # (With fast forwarding the LVAQ keeps the full rescan instead —
-    # sp-based loads can be serviced before address generation.)
     lsq_addr_ready_pop = lsq._addr_ready.pop
     lvaq_addr_ready_pop = lvaq._addr_ready.pop
     lsq_eligible = []
     lvaq_eligible = []
+    # Loads combining absorbed that are still in the LVAQ eligible list.
+    lvaq_absorbed = 0
     # Stage-owned incremental cursors (written back by ``finish``).
     lsq_us_head = lsq._us_head
     lvaq_us_head = lvaq._us_head
     lvaq_un_head = lvaq._un_head
-    lsq_load_head = lsq._load_head
-    lvaq_load_head = lvaq._load_head
 
     hierarchy = state.hierarchy
     ready_l1 = hierarchy.ready_l1
@@ -124,12 +137,11 @@ def bind(state: CoreState):
              combining=combining, combine_window=combine_window,
              inf_seq=inf_seq, ring=ring, overflow=overflow,
              lsq=lsq, lvaq=lvaq, lvaq_entries=lvaq_entries,
-             lsq_loads_list=lsq_loads_list,
-             lvaq_loads_list=lvaq_loads_list,
              lsq_unknown=lsq_unknown, lvaq_unknown=lvaq_unknown,
              lvaq_un_nonsp=lvaq_un_nonsp, lvaq_ns=lvaq_ns,
              lsq_words_get=lsq_words_get,
              lvaq_words_get=lvaq_words_get, lvaq_sp_get=lvaq_sp_get,
+             lvaq_sp_loads=lvaq_sp_loads,
              lsq_addr_ready_pop=lsq_addr_ready_pop,
              lvaq_addr_ready_pop=lvaq_addr_ready_pop,
              lsq_eligible=lsq_eligible, lvaq_eligible=lvaq_eligible,
@@ -145,9 +157,8 @@ def bind(state: CoreState):
         nonlocal n_stall_lsq_port, n_stall_lvaq_port
         nonlocal n_lsq_forwards, n_lvaq_forwards, n_lvaq_fast_forwards
         nonlocal n_lvaq_load_combined, n_l1_fast, n_lvc_fast
-        nonlocal l1_busy, lvc_busy
+        nonlocal l1_busy, lvc_busy, lvaq_absorbed
         nonlocal lsq_us_head, lvaq_us_head, lvaq_un_head
-        nonlocal lsq_load_head, lvaq_load_head
 
         # ---- LVAQ (fast forwarding + combining) -------------------
         if decoupled and lvaq_unserviced:
@@ -176,9 +187,8 @@ def bind(state: CoreState):
             qlen = len(entries)
             serviced = 0
             if fast_fwd:
-                # sp-based loads may be serviced before address
-                # generation, so this path keeps the full rescan of
-                # pending loads (the loop below).
+                # The oldest unknown-address non-sp store bounds the
+                # relaxable band (see the module docstring).
                 ulst = lvaq_un_nonsp
                 uh = lvaq_un_head
                 un = len(ulst)
@@ -191,324 +201,229 @@ def bind(state: CoreState):
                 lvaq_un_head = uh
                 nonsp_unknown_seq = (ulst[uh].rob.seq if uh < un
                                      else inf_seq)
-                # Pending loads: skip the serviced prefix.
-                loads = lvaq_loads_list
-                li = lvaq_load_head
-                n_loads = len(loads)
-                while li < n_loads and loads[li].serviced:
-                    li += 1
-                if li >= 64:
-                    del loads[:li]
-                    n_loads -= li
-                    li = 0
-                lvaq_load_head = li
-            else:
-                # Event-driven walk: visit only loads that can act
-                # (issue buckets them by the first cycle they can);
-                # the rescan loop below degenerates to a no-op.
-                li = 0
-                n_loads = 0
-                elig = lvaq_eligible
-                arrivals = lvaq_addr_ready_pop(now, None)
-                if arrivals is not None:
-                    if arrivals[0].penalty and len(arrivals) > 1:
-                        # One issue cycle fills a bucket in age order.
-                        # A load in recovery was bucketed `penalty`
-                        # cycles early, ahead of the loads whose address
-                        # became known now, which may be older: only a
-                        # bucket that starts with one can be unordered.
-                        arrivals.sort(key=BY_POS)
-                    if not elig or arrivals[0].pos > elig[-1].pos:
-                        elig.extend(arrivals)
-                    else:
-                        # Rare: an older load resolved its address
-                        # after a younger one did — merge by position.
-                        merged = []
-                        i3 = 0
-                        j3 = 0
-                        n3 = len(elig)
-                        m3 = len(arrivals)
-                        while i3 < n3 and j3 < m3:
-                            if elig[i3].pos <= arrivals[j3].pos:
-                                merged.append(elig[i3])
-                                i3 += 1
-                            else:
-                                merged.append(arrivals[j3])
-                                j3 += 1
-                        if i3 < n3:
-                            merged.extend(elig[i3:])
-                        if j3 < m3:
-                            merged.extend(arrivals[j3:])
-                        elig[:] = merged
-                # Issue buckets a load in misprediction recovery at the
-                # cycle its penalty ends, so no eligible load is still
-                # penalized.  Only this walk services a tracked load,
-                # and it drops what it services; a load completes only
-                # once serviced.  So an eligible load is never serviced
-                # or completed — except one combining absorbed ahead of
-                # the walk, which only a combining machine can hold.
-                i3 = 0
-                wi = 0
-                n_el = len(elig)
-                while i3 < n_el:
-                    qe = elig[i3]
-                    if combine_window and qe.serviced:
-                        i3 += 1
-                        continue  # absorbed by combining: drop
-                    entry = qe.rob
-                    if entry.seq > unknown_seq:
-                        # The list is in age order and unknown_seq is
-                        # fixed for the walk: this load and every later
-                        # one wait on an earlier unknown-address store.
-                        # Leave that suffix where it is.
-                        break
+                lvaq_ns_head = lvaq._ns_head
+                # The not-yet-issued sp-based loads, merged into the
+                # walk by queue position; kept (at cw) until they issue
+                # or fast-forward.
+                cands = lvaq_sp_loads
+                ci = 0
+                cw = 0
+                n_c = len(cands)
+            # Event-driven walk: visit only loads that can act (issue
+            # buckets them by the first cycle they can).
+            elig = lvaq_eligible
+            arrivals = lvaq_addr_ready_pop(now, None)
+            if arrivals is not None:
+                if arrivals[0].penalty and len(arrivals) > 1:
+                    # One issue cycle fills a bucket in age order.  A
+                    # load in recovery was bucketed `penalty` cycles
+                    # early, ahead of the loads whose address became
+                    # known now, which may be older: only a bucket that
+                    # starts with one can be unordered.
+                    arrivals.sort(key=BY_POS)
+                if not elig or arrivals[0].pos > elig[-1].pos:
+                    elig.extend(arrivals)
+                else:
+                    # Rare: an older load resolved its address after a
+                    # younger one did — merge by position.
+                    merged = []
+                    i3 = 0
+                    j3 = 0
+                    n3 = len(elig)
+                    m3 = len(arrivals)
+                    while i3 < n3 and j3 < m3:
+                        if elig[i3].pos <= arrivals[j3].pos:
+                            merged.append(elig[i3])
+                            i3 += 1
+                        else:
+                            merged.append(arrivals[j3])
+                            j3 += 1
+                    if i3 < n3:
+                        merged.extend(elig[i3:])
+                    if j3 < m3:
+                        merged.extend(arrivals[j3:])
+                    elig[:] = merged
+            # Issue buckets a load in misprediction recovery at the
+            # cycle its penalty ends, so no eligible load is still
+            # penalized.  Only this walk services an issued load, and it
+            # drops what it services; a load completes only once
+            # serviced.  So an eligible load is never serviced or
+            # completed — except one combining absorbed ahead of the
+            # walk, which only a combining machine can hold.
+            i3 = 0
+            wi = 0
+            n_el = len(elig)
+            while i3 < n_el or (fast_fwd and ci < n_c):
+                if fast_fwd and ci < n_c and (i3 >= n_el or
+                                              cands[ci].pos < elig[i3].pos):
+                    # --- fast data forwarding (sp-relative pairs) --
+                    # A load not yet issued has no address: it can act
+                    # only by forwarding from the youngest older
+                    # same-key sp store, and only if no non-sp store
+                    # between them has an unknown address.
+                    qe = cands[ci]
+                    ci += 1
+                    if qe.serviced or qe.addr_known_time >= 0:
+                        continue  # fast-forwarded or issued: drop
+                    cands[cw] = qe
+                    cw += 1
+                    fkey = qe.frame_key
+                    if fkey is None:
+                        continue
+                    lpos = qe.pos
+                    source = None
+                    bucket = lvaq_sp_get(fkey)
+                    if bucket:
+                        for i2 in range(len(bucket) - 1, -1, -1):
+                            sentry = bucket[i2]
+                            if sentry.pos < lpos:
+                                source = sentry
+                                break
+                    if source is None:
+                        continue
+                    source_pos = source.pos
+                    ns = lvaq_ns
+                    for i2 in range(len(ns) - 1, lvaq_ns_head - 1, -1):
+                        sentry = ns[i2]
+                        p = sentry.pos
+                        if p >= lpos:
+                            continue
+                        if p < source_pos:
+                            break
+                        # (A known-address store cannot match the
+                        # load's word: it is not known yet.)
+                        if sentry.addr_known_time < 0:
+                            source = None
+                            break
+                    if source is None:
+                        continue
+                    src_rob = source.rob
+                    if src_rob.pending or src_rob.earliest > now:
+                        continue  # the store's data is not produced yet
+                    # The match resolves before address generation, but
+                    # the transfer still occupies an LVC port (the queue
+                    # datapath is the cache's): the gain is latency and
+                    # disambiguation, not bandwidth.
                     if ports_exhausted or (lvc_simple and lvc_avail == 0):
-                        if combine_window:
-                            # Absorbed loads may sit among the rest:
-                            # charge load by load, past the tests above.
+                        n_stall_lvaq_port += 1
+                        ports_exhausted = True
+                        continue
+                    if lvc_simple:
+                        lvc_avail -= 1
+                        lvc_busy += 1
+                    elif not lvc_try_take(
+                            1, line=addr_of[src_rob.inst] >> 5,
+                            is_store=False):
+                        n_stall_lvaq_port += 1
+                        ports_exhausted = True
+                        continue
+                    cw -= 1  # serviced: drop
+                    qe.serviced = True
+                    serviced += 1
+                    entry = qe.rob
+                    entry.state = 1
+                    bucket = ring[next_slot]
+                    if bucket is None:
+                        ring[next_slot] = [entry]
+                    else:
+                        bucket.append(entry)
+                    n_lvaq_fast_forwards += 1
+                    continue
+                else:
+                    qe = elig[i3]
+                if combine_window and qe.serviced:
+                    i3 += 1
+                    lvaq_absorbed -= 1
+                    continue  # absorbed by combining: drop
+                entry = qe.rob
+                if entry.seq > unknown_seq:
+                    if fast_fwd:
+                        if entry.seq > nonsp_unknown_seq:
+                            # This load and every later one wait on an
+                            # unknown-address non-sp store: only the
+                            # candidates are left to visit.
+                            n_el = i3
+                            continue
+                        # The relaxable band.  When no non-sp store
+                        # since the youngest older same-key sp store
+                        # (or at all) has an unknown address or this
+                        # load's word, the search is conclusive: the
+                        # offsets rule out every sp store, and only an
+                        # unknown-address non-sp store blocks the load.
+                        fkey = qe.frame_key
+                        conclusive = qe.sp_based and fkey is not None
+                        if conclusive:
+                            lpos = qe.pos
+                            source_pos = -1
+                            bucket = lvaq_sp_get(fkey)
+                            if bucket:
+                                for i2 in range(len(bucket) - 1, -1, -1):
+                                    p = bucket[i2].pos
+                                    if p < lpos:
+                                        source_pos = p
+                                        break
+                            ns = lvaq_ns
+                            lword = qe.word
+                            for i2 in range(len(ns) - 1,
+                                            lvaq_ns_head - 1, -1):
+                                sentry = ns[i2]
+                                p = sentry.pos
+                                if p >= lpos:
+                                    continue
+                                if p < source_pos:
+                                    break
+                                if (sentry.addr_known_time < 0
+                                        or sentry.word == lword):
+                                    conclusive = False
+                                    break
+                        if not conclusive:
+                            elig[wi] = qe
+                            wi += 1
+                            i3 += 1
+                            continue
+                        if ports_exhausted or (lvc_simple
+                                               and lvc_avail == 0):
                             n_stall_lvaq_port += 1
                             ports_exhausted = True
                             elig[wi] = qe
                             wi += 1
                             i3 += 1
                             continue
-                        # No port is left: every remaining load before
-                        # the blocked suffix stalls exactly once and
-                        # stays.  Charge them in one step.
-                        if unknown_seq == inf_seq:
-                            n_stall_lvaq_port += n_el - i3
-                        else:
-                            j = i3 + 1
-                            while j < n_el and elig[j].rob.seq <= unknown_seq:
-                                j += 1
-                            n_stall_lvaq_port += j - i3
+                    else:
+                        # The list is in age order and unknown_seq is
+                        # fixed for the walk: this load and every later
+                        # one wait on an earlier unknown-address store.
+                        # Leave that suffix where it is.
                         break
-                    i3 += 1
-                    bucket = lvaq_words_get(qe.word)
-                    fwd = False
-                    if bucket:
-                        lpos = qe.pos
-                        for sentry in bucket:
-                            if sentry.pos < lpos:
-                                fwd = True
-                                break
-                    if fwd:
-                        # Forwarding occupies a cache port (see the
-                        # fast-forwarding path's note below).
-                        if lvc_simple:
-                            lvc_avail -= 1
-                            lvc_busy += 1
-                        elif not lvc_try_take(
-                                1, line=qe.line, is_store=False):
-                            n_stall_lvaq_port += 1
-                            ports_exhausted = True
-                            elig[wi] = qe
-                            wi += 1
-                            continue
-                        qe.serviced = True
-                        serviced += 1
-                        bucket = ring[next_slot]
-                        if bucket is None:
-                            ring[next_slot] = [entry]
-                        else:
-                            bucket.append(entry)
-                        n_lvaq_forwards += 1
-                        continue
-                    if lvc_simple:
-                        lvc_avail -= 1
-                        lvc_busy += 1
-                    elif not lvc_try_take(
-                            1, line=qe.line, is_store=False):
-                        n_stall_lvaq_port += 1
-                        ports_exhausted = True
-                        elig[wi] = qe
-                        wi += 1
-                        continue
-                    addr = qe.word << 2
-                    line_no = addr >> lvc_shift
-                    if lvc_pending:
-                        t = lvc_pending.get(line_no)
-                        pend = t is not None and t > now
-                    else:
-                        pend = False
-                    if pend:
-                        ready = ready_lvc(addr, False, now)
-                    else:
-                        ways = lvc_sets[line_no & lvc_smask]
-                        if line_no in ways:
-                            n_lvc_fast += 1
-                            if ways[0] != line_no:
-                                ways.remove(line_no)
-                                ways.insert(0, line_no)
-                            ready = now + lvc_hitlat
-                        else:
-                            ready = ready_lvc(addr, False, now)
-                    qe.serviced = True
-                    serviced += 1
-                    d = ready - now
-                    if 1 <= d < RING:
-                        slot2 = ready & MASK
-                        bucket = ring[slot2]
-                        if bucket is None:
-                            bucket = ring[slot2] = []
-                        bucket.append(entry)
-                    else:
-                        bucket = overflow.get(ready)
-                        if bucket is None:
-                            bucket = overflow[ready] = []
-                        bucket.append(entry)
-                    # Access combining: absorb following same-line
-                    # refs into this port transaction.
-                    if combine_window:
-                        j = qe.pos - qbase + 1
-                        jn = j + combining - 1
-                        if jn > qlen:
-                            jn = qlen
-                        line = qe.line
-                        while j < jn:
-                            cand = entries[j]
-                            j += 1
-                            cakt = cand.addr_known_time
-                            if (cand.is_store or cand.serviced
-                                    or cakt < 0 or cakt > now
-                                    or cand.line != line
-                                    or cand.rob.seq > unknown_seq
-                                    or cand.penalty
-                                    or cand.rob.state == 2):
-                                continue
-                            cbucket = lvaq_words_get(cand.word)
-                            if cbucket:
-                                cpos = cand.pos
-                                fwd = False
-                                for sentry in cbucket:
-                                    if sentry.pos < cpos:
-                                        fwd = True
-                                        break
-                                if fwd:
-                                    continue
-                            cand.serviced = True
-                            serviced += 1
-                            bucket.append(cand.rob)
-                            n_lvaq_load_combined += 1
-                if wi < i3:
-                    del elig[wi:i3]  # close the gap the serviced left
-            lvaq_ns_head = lvaq._ns_head
-            while li < n_loads:
-                qe = loads[li]
-                li += 1
-                if qe.serviced:
-                    continue
-                entry = qe.rob
-                state_ = entry.state
-                if state_ == 2:
-                    continue
-
-                # --- fast data forwarding (sp-relative pairs) ------
-                # An issued load cannot fast-forward; for it the search
-                # can only relax the blocking seq to nonsp_unknown_seq,
-                # which is never below unknown_seq.  So it matters only
-                # to an issued load that unknown_seq blocks.
-                blocking_seq = unknown_seq
-                if fast_fwd and qe.sp_based and (
-                        state_ == 0 or entry.seq > unknown_seq):
-                    # Fast-forward source: the reference scan's
-                    # outcome is decided by whichever is younger — the
-                    # youngest same-key sp store or the youngest
-                    # *blocking* non-sp store (unknown address, or
-                    # known and aliasing).
-                    fkey = qe.frame_key
-                    source = None
-                    if fkey is None:
-                        conclusive = False
-                    else:
-                        lpos = qe.pos
-                        source_pos = -1
-                        bucket = lvaq_sp_get(fkey)
-                        if bucket:
-                            for i2 in range(len(bucket) - 1, -1, -1):
-                                sentry = bucket[i2]
-                                if sentry.pos < lpos:
-                                    source = sentry
-                                    source_pos = sentry.pos
-                                    break
-                        conclusive = True
-                        ns = lvaq_ns
-                        lword = qe.word
-                        for i2 in range(len(ns) - 1,
-                                        lvaq_ns_head - 1, -1):
-                            sentry = ns[i2]
-                            p = sentry.pos
-                            if p >= lpos:
-                                continue
-                            if p < source_pos:
-                                break
-                            if (sentry.addr_known_time < 0
-                                    or sentry.word == lword):
-                                source = None
-                                conclusive = False
-                                break
-                    if source is not None and state_ == 0:
-                        src_rob = source.rob
-                        if (src_rob.pending == 0
-                                and src_rob.earliest <= now):
-                            # The match resolves before address
-                            # generation, but the transfer still
-                            # occupies an LVC port (the queue datapath
-                            # is the cache's): the gain is latency and
-                            # disambiguation, not bandwidth.
-                            if ports_exhausted or (lvc_simple
-                                                   and lvc_avail == 0):
-                                n_stall_lvaq_port += 1
-                                ports_exhausted = True
-                                continue
-                            if lvc_simple:
-                                lvc_avail -= 1
-                                lvc_busy += 1
-                            elif not lvc_try_take(
-                                    1,
-                                    line=addr_of[src_rob.inst] >> 5,
-                                    is_store=False):
-                                n_stall_lvaq_port += 1
-                                ports_exhausted = True
-                                continue
-                            qe.serviced = True
-                            serviced += 1
-                            entry.state = 1
-                            bucket = ring[next_slot]
-                            if bucket is None:
-                                ring[next_slot] = [entry]
-                            else:
-                                bucket.append(entry)
-                            n_lvaq_fast_forwards += 1
-                            continue
-                        # Matching store's data not produced yet.
-                        continue
-                    if conclusive:
-                        # Offsets proved independence from every
-                        # earlier sp-relative store: only non-sp stores
-                        # can block.
-                        blocking_seq = nonsp_unknown_seq
-
-                # --- conventional path -----------------------------
-                akt = qe.addr_known_time
-                if akt < 0 or akt > now:
-                    continue
-                if entry.seq > blocking_seq:
-                    continue  # earlier unknown-address store
-                if qe.penalty and now < akt + qe.penalty:
-                    # Misprediction recovery: this rescan uses no
-                    # buckets, so it tests the penalty itself.
-                    continue
-                # A disambiguated load that cannot get a port stalls
-                # identically whether it would forward or access (both
-                # paths charge the same counter), so the forward probe
-                # can be skipped outright.
                 if ports_exhausted or (lvc_simple and lvc_avail == 0):
-                    n_stall_lvaq_port += 1
-                    ports_exhausted = True
-                    continue
-                # Forwarding probe, existence only: any indexed
-                # same-word store older than the load.
+                    # No port is left: every remaining load before the
+                    # blocked suffix stalls exactly once and stays.
+                    # Charge them in one step, less the absorbed loads
+                    # still listed, which all sit among them.
+                    if unknown_seq == inf_seq:
+                        n_stall_lvaq_port += n_el - i3
+                    else:
+                        j = i3 + 1
+                        while j < n_el and elig[j].rob.seq <= unknown_seq:
+                            j += 1
+                        n_stall_lvaq_port += j - i3
+                    if combine_window:
+                        n_stall_lvaq_port -= lvaq_absorbed
+                    if fast_fwd:
+                        # Keep the charged loads listed and walk on:
+                        # the band past them and the candidates still
+                        # charge one by one.
+                        if unknown_seq == inf_seq:
+                            j = n_el
+                        if wi < i3:
+                            del elig[wi:i3]
+                            j -= i3 - wi
+                            n_el -= i3 - wi
+                        i3 = wi = j
+                        continue
+                    else:
+                        break
+                i3 += 1
                 bucket = lvaq_words_get(qe.word)
                 fwd = False
                 if bucket:
@@ -520,11 +435,8 @@ def bind(state: CoreState):
                 if fwd:
                     # Store-to-load forwarding still occupies a cache
                     # port: sim-outorder acquires the port before
-                    # probing the store queue, and the paper's
-                    # simulator derives from it.  (The fast forwarding
-                    # path above is the exception — it resolves before
-                    # address generation, off the cache pipeline
-                    # entirely.)
+                    # probing the store queue, and the paper's simulator
+                    # derives from it.
                     if lvc_simple:
                         lvc_avail -= 1
                         lvc_busy += 1
@@ -532,6 +444,8 @@ def bind(state: CoreState):
                             1, line=qe.line, is_store=False):
                         n_stall_lvaq_port += 1
                         ports_exhausted = True
+                        elig[wi] = qe
+                        wi += 1
                         continue
                     qe.serviced = True
                     serviced += 1
@@ -545,9 +459,12 @@ def bind(state: CoreState):
                 if lvc_simple:
                     lvc_avail -= 1
                     lvc_busy += 1
-                elif not lvc_try_take(1, line=qe.line, is_store=False):
+                elif not lvc_try_take(
+                        1, line=qe.line, is_store=False):
                     n_stall_lvaq_port += 1
                     ports_exhausted = True
+                    elig[wi] = qe
+                    wi += 1
                     continue
                 addr = qe.word << 2
                 line_no = addr >> lvc_shift
@@ -571,8 +488,7 @@ def bind(state: CoreState):
                 qe.serviced = True
                 serviced += 1
                 d = ready - now
-                in_ring = 1 <= d < RING
-                if in_ring:
+                if 1 <= d < RING:
                     slot2 = ready & MASK
                     bucket = ring[slot2]
                     if bucket is None:
@@ -583,8 +499,10 @@ def bind(state: CoreState):
                     if bucket is None:
                         bucket = overflow[ready] = []
                     bucket.append(entry)
-                # --- access combining: absorb following same-line
-                # refs into this port transaction ------------------
+                # Access combining: absorb following same-line refs
+                # into this port transaction.  Each absorbed load is
+                # eligible and younger than this one, and stays listed
+                # until the walk reaches it.
                 if combine_window:
                     j = qe.pos - qbase + 1
                     jn = j + combining - 1
@@ -616,6 +534,11 @@ def bind(state: CoreState):
                         serviced += 1
                         bucket.append(cand.rob)
                         n_lvaq_load_combined += 1
+                        lvaq_absorbed += 1
+            if wi < i3:
+                del elig[wi:i3]  # close the gap the serviced left
+            if fast_fwd and cw < ci:
+                del cands[cw:ci]
             if serviced:
                 lvaq_unserviced -= serviced
 
@@ -776,8 +699,6 @@ def bind(state: CoreState):
         lsq._us_head = lsq_us_head
         lvaq._us_head = lvaq_us_head
         lvaq._un_head = lvaq_un_head
-        lsq._load_head = lsq_load_head
-        lvaq._load_head = lvaq_load_head
         return {
             "stall.lsq_port": n_stall_lsq_port,
             "stall.lvaq_port": n_stall_lvaq_port,

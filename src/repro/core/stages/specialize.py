@@ -96,7 +96,7 @@ CONST_NAMES = frozenset({
     "lvc_shift", "lvc_smask", "lvc_hitlat",
     "l1_nports", "lvc_nports",
     # issue
-    "n_ialu", "n_falu", "lvaq_track",
+    "n_ialu", "n_falu",
 })
 
 #: Binary/comparison operators safe to fold on int/bool constants.

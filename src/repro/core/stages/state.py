@@ -64,6 +64,8 @@ class CoreState:
         self.rob_entries = processor.rob.entries
         self.ready_fifo = processor._ready_fifo
         self.woken = processor._issuable
+        self.imult_wait = processor._imult_wait
+        self.fmult_wait = processor._fmult_wait
         self.ring = processor._ring
         self.overflow = processor._overflow
         self.producer = processor._producer

@@ -20,15 +20,15 @@ A queue is state only: the kernel stages (:mod:`repro.core.stages`) bind
 its fields and maintain them inline — dispatch appends, issue fills
 addresses, the memory stage disambiguates and forwards, commit retires
 the head.  The fields are incremental indexes, so the per-cycle memory
-stage never rescans every resident entry: the age-ordered load list with
-a serviced-prefix cursor, lazy cursors over the unknown-address store
-lists (an address, once known, never becomes unknown again), the
-known-address stores bucketed by word, the sp-relative stores by
-(frame, offset) key, the non-sp stores in age order, and the loads
-bucketed by the first cycle they can act (address known, misprediction
-penalty served).  The scan-based semantics those indexes implement
-live, frozen, in ``repro.perf.reference._RefMemQueue``; the golden
-equivalence suite and the micro-streams in
+stage never rescans every resident entry: lazy cursors over the
+unknown-address store lists (an address, once known, never becomes
+unknown again), the known-address stores bucketed by word, the
+sp-relative stores by (frame, offset) key, the non-sp stores in age
+order, the loads bucketed by the first cycle they can act (address
+known, misprediction penalty served), and, under fast forwarding, the
+sp-based loads not yet issued.  The scan-based semantics those indexes
+implement live, frozen, in ``repro.perf.reference._RefMemQueue``; the
+golden equivalence suite and the micro-streams in
 ``tests/core/test_processor.py`` pin the kernel to them.
 """
 
@@ -95,8 +95,6 @@ class MemQueue:
         self.base = 0
         #: Loads the memory stage still has to service.
         self.unserviced_loads = 0
-        self._loads: List[MemQueueEntry] = []
-        self._load_head = 0
         self._unknown_stores: List[MemQueueEntry] = []
         self._us_head = 0
         self._unknown_nonsp_stores: List[MemQueueEntry] = []
@@ -105,6 +103,10 @@ class MemQueue:
         self._ns_head = 0
         self._stores_by_word: Dict[int, List[MemQueueEntry]] = {}
         self._sp_stores: Dict[Tuple[int, int], List[MemQueueEntry]] = {}
+        #: sp-based loads not yet issued, in age order, kept under fast
+        #: forwarding only: dispatch appends each, and the memory stage
+        #: drops one lazily once it has issued or been fast-forwarded.
+        self._sp_loads: List[MemQueueEntry] = []
         #: Loads bucketed by the first cycle they can act: the cycle
         #: their address becomes known, plus the misprediction penalty
         #: for a load in recovery.  Filled by the issue stage's address

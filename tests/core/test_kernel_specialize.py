@@ -128,19 +128,24 @@ CROSS = [(ports, frontend, notation)
          for notation in ("2+0", "2+2", "2+2:opt")]
 
 
+CROSS_IDS = [f"{notation}-{ports}-{frontend}"
+             for ports, frontend, notation in CROSS]
+
+
 @pytest.fixture(scope="module")
 def go_stream():
     return build_trace("099.go", length=3000).insts
 
 
-@pytest.mark.parametrize(
-    "ports,frontend,notation", CROSS,
-    ids=[f"{notation}-{ports}-{frontend}"
-         for ports, frontend, notation in CROSS])
-def test_specialization_is_total_over_the_policy_cross(
-        ports, frontend, notation, go_stream, monkeypatch):
-    """kernel_for compiles a kernel for every config of the cross, and
-    that kernel is bit-identical to the portable one."""
+@pytest.fixture(scope="module")
+def matmul_stream():
+    """A mini-C stream whose multiplies often find their pool full."""
+    return build_trace("mini.matmul@O2", length=4000).insts
+
+
+def _cross_runs(ports, frontend, notation, stream, name, monkeypatch):
+    """The specialized and the portable result of one cross config;
+    checks that the specialized kernel compiled and is inspectable."""
     def config():
         config = golden_config(notation)
         config.mem.l1_port_policy = ports
@@ -149,12 +154,33 @@ def test_specialization_is_total_over_the_policy_cross(
         return config
 
     before = specialize.compile_count
-    specialized = Processor(config()).run(go_stream, "099.go")
+    specialized = Processor(config()).run(stream, name)
     assert specialize.compile_count == before + 1
     assert specialize.cached_source(config()) is not None
     monkeypatch.setenv("REPRO_PORTABLE_KERNEL", "1")
-    portable = Processor(config()).run(go_stream, "099.go")
+    portable = Processor(config()).run(stream, name)
+    return specialized, portable
+
+
+@pytest.mark.parametrize("ports,frontend,notation", CROSS, ids=CROSS_IDS)
+def test_specialization_is_total_over_the_policy_cross(
+        ports, frontend, notation, go_stream, monkeypatch):
+    """kernel_for compiles a kernel for every config of the cross, and
+    that kernel is bit-identical to the portable one."""
+    specialized, portable = _cross_runs(ports, frontend, notation,
+                                        go_stream, "099.go", monkeypatch)
     assert diff_results("099.go", notation, portable, specialized) == []
+
+
+@pytest.mark.parametrize("ports,frontend,notation", CROSS, ids=CROSS_IDS)
+def test_fu_waits_match_portable_over_the_policy_cross(
+        ports, frontend, notation, matmul_stream, monkeypatch):
+    specialized, portable = _cross_runs(ports, frontend, notation,
+                                        matmul_stream, "mini.matmul@O2",
+                                        monkeypatch)
+    assert diff_results("mini.matmul@O2", notation, portable,
+                        specialized) == []
+    assert specialized.counters.get("stall.fu") > 0
 
 
 def test_cli_emit_kernel(capsys):

@@ -9,14 +9,18 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.processor import Processor
 from repro.isa.opcodes import FuClass
-from repro.perf.golden import diff_results
+from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
 from repro.perf.reference import ReferenceProcessor
 from repro.pipeline.memqueue import INF_SEQ, MemQueueEntry
 from repro.pipeline.rob import RobEntry
 from repro.vm.trace import DynInst, Stream
+from repro.workloads.builder import build_trace
 
 IALU = int(FuClass.IALU)
+IMULT = int(FuClass.IMULT)
 IDIV = int(FuClass.IDIV)
+FMUL = int(FuClass.FMUL)
+FDIV = int(FuClass.FDIV)
 LOAD = int(FuClass.LOAD)
 STORE = int(FuClass.STORE)
 
@@ -29,13 +33,16 @@ def run(insts, **baseline_kwargs):
     return Processor(config).run(Stream.from_insts(insts), "micro")
 
 
-def run_checked(insts, lsq_size=None, **baseline_kwargs):
+def run_checked(insts, lsq_size=None, core=None, **baseline_kwargs):
     """``run``, also requiring cycles and counters equal to the frozen
-    reference core's on the same stream."""
+    reference core's on the same stream.  *core* sets further
+    :class:`MachineConfig` attributes (``issue_width``, unit counts)."""
     def config():
         config = MachineConfig.baseline(**baseline_kwargs)
         if lsq_size is not None:
             config.lsq_size = lsq_size
+        for name, value in (core or {}).items():
+            setattr(config, name, value)
         return config
 
     stream = Stream.from_insts(insts)
@@ -47,6 +54,14 @@ def run_checked(insts, lsq_size=None, **baseline_kwargs):
 
 def alu(dst, srcs=()):
     return DynInst(IALU, dst=dst, srcs=tuple(srcs))
+
+
+def mul(dst, srcs=(), fp=False):
+    return DynInst(FMUL if fp else IMULT, dst=dst, srcs=tuple(srcs))
+
+
+def div(dst, srcs=(), fp=False):
+    return DynInst(FDIV if fp else IDIV, dst=dst, srcs=tuple(srcs))
 
 
 def load(dst, addr, local=False, srcs=(5,), sp_based=False, frame=0, off=0):
@@ -363,6 +378,121 @@ def test_issued_sp_loads_behind_an_unknown_address_store():
     assert passes.counters.get("stall.lvaq_port") > 0
     assert waits.counters.get("stall.lvaq_port") > 0
     assert passes.cycles < waits.cycles
+
+
+def sp_load(dst, slot, srcs=(29,)):
+    """A local sp-based load of frame 1's word *slot*."""
+    return load(dst, STACK_ADDR + 4 * slot, local=True, srcs=srcs,
+                sp_based=True, frame=1, off=4 * slot)
+
+
+def sp_store(slot, srcs=(29, 6)):
+    """A local sp-based store to frame 1's word *slot*."""
+    return store(STACK_ADDR + 4 * slot, local=True, srcs=srcs,
+                 sp_based=True, frame=1, off=4 * slot)
+
+
+def test_absorbed_loads_in_a_port_exhausted_tail():
+    # On one port with a combining window of four, each leading load
+    # absorbs the same-line load two entries behind it, past a load of
+    # another line that then finds the port taken: the absorbed load
+    # is still listed in the tail that stalls.
+    insts = []
+    for i in range(12):
+        line = STACK_ADDR + 64 * i
+        insts += [load(8, line, local=True), load(9, line + 32, local=True),
+                  load(10, line + 4, local=True)]
+    result = run_checked(insts, l1_ports=1, lvc_ports=1, combining=4)
+    assert result.counters.get("lvaq.load_combined") > 0
+    assert result.counters.get("stall.lvaq_port") > 0
+
+
+def test_fast_forward_candidate_charged_after_the_ports_run_out():
+    # The candidate's base waits on a divide, which also keeps its
+    # source store from committing: the candidate stays unissued with
+    # the store's data ready, behind older loads that use up the one
+    # LVC port every cycle.
+    older = [load(8 + i % 8, STACK_SLOTS[i], local=True) for i in range(16)]
+    insts = ([div(9), sp_store(20)] + older
+             + [sp_load(10, 20, srcs=(9,))]
+             + [load(8 + i % 8, STACK_SLOTS[i], local=True)
+                for i in range(8)])
+    result = run_checked(insts, l1_ports=1, lvc_ports=1,
+                         fast_forwarding=True)
+    assert result.counters.get("lvaq.fast_forwards") == 1
+    assert result.counters.get("stall.lvaq_port") > 0
+
+
+def test_issued_sp_load_in_the_relaxable_band_after_the_ports_run_out():
+    # An sp store whose base waits on a divide leaves its address
+    # unknown; the issued sp loads behind it at other offsets wait only
+    # on non-sp stores, so while the older loads hold the port each of
+    # them stalls on the port, one by one.
+    older = [load(8 + i % 8, STACK_SLOTS[i], local=True) for i in range(12)]
+    band = [sp_load(8 + i % 8, 24 + i) for i in range(6)]
+    insts = [div(9)] + older + [sp_store(20, srcs=(9, 6))] + band
+    result = run_checked(insts, l1_ports=1, lvc_ports=1,
+                         fast_forwarding=True, combining=2)
+    assert result.counters.get("stall.lvaq_port") > 0
+
+
+# -- functional-unit waits ---------------------------------------------------
+#
+# A MULT/DIV op that finds its pool full (four units, Table 1) charges
+# one stall per cycle it is examined until a unit frees; these streams
+# pin every count to the frozen reference core.
+
+def test_more_ready_multiplies_than_units():
+    # Twelve multiplies ready at once on four pipelined units: eight
+    # wait one cycle, four of them a second.
+    result = run_checked([mul(8 + i, ()) for i in range(12)])
+    assert result.counters.get("stall.fu") == 8 + 4
+
+
+def test_multiplies_wait_behind_divides_holding_every_unit():
+    # Four divides hold every unit for their full latency; the
+    # multiplies behind them wait it out, and ALU work keeps issuing.
+    latency = 34
+    insts = ([div(8 + i) for i in range(4)] + [mul(12 + i) for i in range(3)]
+             + [alu(16, (16,)) for _ in range(2 * latency)])
+    result = run_checked(insts)
+    assert result.counters.get("stall.fu") == 3 * latency
+
+
+def test_width_runs_out_before_a_held_multiply():
+    # Four issue (and dispatch) slots.  The divides take every integer
+    # MULT/DIV unit at cycle 2 until cycle 36; the multiply, ready at
+    # cycle 4, waits 32 cycles.  In one of them the FP divide's four
+    # older consumers become ready and take every slot, so the multiply
+    # is not reached and not charged.
+    insts = ([div(8 + i) for i in range(4)] + [div(12, fp=True)]
+             + [alu(13 + i, (12,)) for i in range(4)] + [mul(17)])
+    result = run_checked(insts, core=dict(issue_width=4))
+    assert result.counters.get("stall.fu") == 32 - 1
+
+
+def test_fp_multiplies_wait_on_their_own_pool():
+    # One MULT/DIV unit per pool.  The FP multiplies wait behind the FP
+    # divides, while the integer multiplies, on their own pool, wait
+    # only for each other.
+    insts = ([div(8, fp=True), mul(9, fp=True), mul(10, fp=True),
+              mul(11), mul(12)]
+             + [div(13 + i, fp=True) for i in range(3)]
+             + [alu(16, (16,)) for _ in range(40)])
+    result = run_checked(insts, core=dict(imultdiv_units=1,
+                                          fmultdiv_units=1))
+    assert result.counters.get("stall.fu") > 0
+
+
+@pytest.mark.parametrize("notation", [name for name, _kw in GOLDEN_CONFIGS])
+def test_fu_heavy_minic_matches_reference(notation):
+    stream = Stream.from_insts(
+        build_trace("mini.matmul@O2", length=4000, seed=1).insts)
+    result = Processor(golden_config(notation)).run(stream, "matmul")
+    expected = ReferenceProcessor(golden_config(notation)).run(stream,
+                                                               "matmul")
+    assert diff_results("mini.matmul@O2", notation, expected, result) == []
+    assert result.counters.get("stall.fu") > 0
 
 
 def test_full_lsq_stalls_dispatch():

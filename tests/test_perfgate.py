@@ -198,6 +198,26 @@ def test_metric_new_in_head_benchmark_is_reported_not_compared(
     assert len(_rows(out, "not reported by both")) == len(WORKLOADS)
 
 
+def test_workload_only_head_lists_runs_on_head_alone(gate, checkouts):
+    path = checkouts["head"] / "BENCHMARK.json"
+    spec = json.loads(path.read_text())
+    spec["workloads"].append({"name": "new_lane", "why": "-"})
+    path.write_text(json.dumps(spec))
+    status, out, calls = gate()
+    assert status == 0
+    assert [side for w, side in calls if w == "new_lane"] == ["head"] * 3
+    assert [line.split() for line in out.splitlines()
+            if line.startswith("new_lane")] == [
+        ["new_lane", "-", "-", "-", "-", "-", "head", "only"]]
+    assert out.splitlines()[-1] == "perfgate: pass (timings report only)"
+    # A failed head run of it still fails.
+    good = (0, result())
+    status, out, _calls = gate(head=[good, (1, result(correct=False)),
+                                     good])
+    assert status == 1
+    assert "perfgate: FAIL head new_lane pair 2: exit 1" in out
+
+
 def test_bytecode_is_not_a_benchmark_edit(checkouts):
     cache = checkouts["head"] / "perfbench" / "__pycache__"
     cache.mkdir()

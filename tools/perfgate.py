@@ -5,7 +5,10 @@
 Runs every workload of HEAD's ``BENCHMARK.json`` on both checkouts in
 ``PAIRS`` pairs of runs, alternating which side runs first, each run
 ``perfbench/run.py --workload W --seed 1 --seconds 5 --trace 0`` with the
-checkout as working directory.  It fails (exit 1) when a run fails: a
+checkout as working directory.  A side runs only the workloads its own
+``BENCHMARK.json`` lists (a base perfbench rejects a workload it does not
+know), so a workload only HEAD lists runs on HEAD alone and is reported
+as ``head only``.  It fails (exit 1) when a run fails: a
 non-zero exit, a last stdout line that is not a result, or a result with
 ``correct: false`` or ``failed > 0``.  For each workload and end-to-end
 metric it compares the two sides' medians and fails when head's is worse
@@ -100,6 +103,15 @@ def benchmark_differs(base: str, head: str) -> bool:
         for rel in base_files)
 
 
+def listed_workloads(root: str) -> List[str]:
+    """The workloads the checkout's own ``BENCHMARK.json`` lists."""
+    path = os.path.join(root, BENCHMARK_FILE)
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        return [w["name"] for w in json.load(handle)["workloads"]]
+
+
 def compare(metrics: Sequence[Dict], workload: str,
             results: Dict[str, List[Dict]]) -> Tuple[List[str], List[str]]:
     """Table rows and regressions of one workload.
@@ -161,14 +173,19 @@ def main(argv=None) -> int:
     with open(os.path.join(args.head, BENCHMARK_FILE)) as handle:
         spec = json.load(handle)
     gated = not benchmark_differs(args.base, args.head)
+    in_base = set(listed_workloads(args.base))
 
     failures, regressions = [], []
     rows = [ROW.format("workload", "metric", "base median", "head median",
                        "delta", "bound", "verdict")]
     for workload in (w["name"] for w in spec["workloads"]):
-        results: Dict[str, List[Dict]] = {side: [] for side in SIDES}
+        results: Dict[str, List[Dict]] = {
+            side: [] for side in SIDES
+            if side == "head" or workload in in_base}
         for pair in range(1, PAIRS + 1):
             for side in SIDES if pair % 2 else SIDES[::-1]:
+                if side not in results:
+                    continue
                 print(f"perfgate: {workload} pair {pair}/{PAIRS}: {side}",
                       file=sys.stderr, flush=True)
                 try:
@@ -176,7 +193,10 @@ def main(argv=None) -> int:
                         spec["command"], roots[side], workload)))
                 except RunFailed as exc:
                     failures.append(f"{side} {workload} pair {pair}: {exc}")
-        if all(results.values()):
+        if "base" not in results:
+            rows.append(ROW.format(workload, "-", "-", "-", "-", "-",
+                                   "head only"))
+        elif all(results.values()):
             workload_rows, workload_regressions = compare(
                 spec["end_to_end"], workload, results)
             rows += workload_rows
