@@ -62,14 +62,24 @@ pin them bit-identical.  Both are generators that yield once per loop
 iteration (:meth:`Processor.cycles`): :meth:`Processor.run` drains one,
 and :func:`repro.core.multicore.run_mix` steps one per core of a mix on
 a shared clock, so solo runs and mixes share one cycle loop.
+
+Every in-flight instruction is named by its stream position: instruction
+*i* lives in slot ``i & wmask`` of the window ring, a list of
+:class:`~repro.pipeline.rob.RobEntry` allocated once per processor with
+a power-of-two size of at least ``rob_size`` (the RUU of sim-outorder
+is such a circular array).  ROB occupancy is ``index -
+committed_total``, the oldest in-flight instruction is the slot of
+``committed_total``, and the register map, the issue heap and the
+MULT/DIV wait lists hold positions.
+
 The performance tricks the components inherit from the fused-loop
 ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes
-(and the MULT/DIV wait lists beside them),
-the ROB free list, simple port arbiters and ALU pools as local integer
-budgets, counters as plain ints folded once at the end, the cycle skip
-to the next scheduled event, GC paused for the run — are documented in
-``docs/perf.md``; the stage interface contracts and state-ownership map
-are in ``docs/timing_model.md``.
+(and the MULT/DIV wait lists beside them), simple port arbiters and
+ALU pools as local integer budgets, counters as plain ints folded once
+at the end, the cycle skip to the next scheduled event, GC paused for
+the run — and the window ring are documented in ``docs/perf.md``; the
+stage interface contracts and state-ownership map are in
+``docs/timing_model.md``.
 """
 
 from __future__ import annotations
@@ -77,7 +87,7 @@ from __future__ import annotations
 import gc
 import os
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass, LATENCY_BY_INT
@@ -94,7 +104,7 @@ from repro.core.stages.state import CoreState, MASK, RING
 from repro.mem.system import MemorySystem
 from repro.pipeline.fu import FuPool
 from repro.pipeline.memqueue import INF_SEQ
-from repro.pipeline.rob import Rob, RobEntry
+from repro.pipeline.rob import RobEntry
 from repro.stats.counters import CounterSet
 from repro.vm.trace import Stream
 
@@ -113,7 +123,6 @@ class Processor:
         self.hierarchy = self.memsys.hierarchy
         self.lsq = self.memsys.lsq
         self.lvaq = self.memsys.lvaq
-        self.rob = Rob(config.rob_size)
         self.fus = FuPool(config.ialu_units, config.falu_units,
                           config.imultdiv_units, config.fmultdiv_units)
         self.partitioner = StreamPartitioner(
@@ -124,21 +133,27 @@ class Processor:
         # Completion calendar: ring for near events, dict for far ones.
         self._ring: List[Optional[List[RobEntry]]] = [None] * RING
         self._overflow: Dict[int, List[RobEntry]] = {}
+        # The window ring: instruction i lives in _window[i & _wmask].
+        # Its size is a power of two >= rob_size, so a slot is taken
+        # again only once its instruction has committed.
+        size = 1 << (config.rob_size - 1).bit_length()
+        self._window = [RobEntry(-1, None) for _ in range(size)]
+        self._wmask = size - 1
         # The issuable set is two seq-ordered lanes merged at issue time:
         # dispatch-ready entries arrive in seq order and ride a plain FIFO
-        # (no tuple, no heap op); entries woken later by writeback arrive
-        # out of order and go through a (seq, entry) heap.
+        # (no heap op); entries woken later by writeback arrive out of
+        # order and go through a heap of positions.
         self._ready_fifo: "deque[RobEntry]" = deque()
-        self._issuable: List[Tuple[int, RobEntry]] = []
+        self._issuable: List[int] = []
         # Ops a full MULT/DIV pool refused wait outside both lanes, one
-        # seq-ordered (seq, entry) list per pool, until a unit frees.
-        self._imult_wait: List[Tuple[int, RobEntry]] = []
-        self._fmult_wait: List[Tuple[int, RobEntry]] = []
-        self._producer: List[Optional[RobEntry]] = [None] * 64
-        self._seq = 0
+        # sorted list of positions per pool, until a unit frees.
+        self._imult_wait: List[int] = []
+        self._fmult_wait: List[int] = []
+        # Register -> position of its last writer, -1 for none.  A
+        # writer below the committed count has committed, whatever its
+        # window slot holds now.
+        self._producer: List[int] = [-1] * 64
         self._committed = 0
-        self._rob_entries = self.rob.entries
-        self._rob_size = config.rob_size
         # Left by the kernel as it stops: (total, dispatch index,
         # finish() shares, cycle limit exceeded, skipped rob-full
         # stalls), read by result().
@@ -219,9 +234,9 @@ class Processor:
         """The call-composed kernel loop, a generator like the fused one.
 
         Steps cycles calling each stage's bound tick behind its
-        activity guard, with the per-cycle scalars (port budgets, ROB
-        occupancy, dispatch index, unserviced-load counts) owned here
-        and threaded through tick arguments/returns.  Yields as
+        activity guard, with the per-cycle scalars (port budgets, the
+        dispatch index and committed count, unserviced-load counts)
+        owned here and threaded through tick arguments/returns.  Yields as
         :meth:`cycles` describes; on stopping, leaves the kernel
         scalars and the merged finish() shares in ``self._outcome``
         for :meth:`result`.
@@ -235,14 +250,13 @@ class Processor:
         issue_tick, issue_finish = issue_stage.bind(state)
         dispatch_tick, dispatch_finish = dispatch_stage.bind(state)
 
-        rob_entries = state.rob_entries
-        rob_count = len(rob_entries)
+        window = state.window
+        wmask = state.wmask
         rob_size = state.rob_size
         ready_fifo = state.ready_fifo
         woken = state.woken
         imult_wait = state.imult_wait
         fmult_wait = state.fmult_wait
-        sleep = state.sleep
         store_done = state.store_done
         ring = state.ring
         overflow = state.overflow
@@ -304,11 +318,11 @@ class Processor:
                         lvc_new_cycle()
 
                 # ---- the five stages, each behind its activity guard --
-                if rob_count and rob_entries[0].state == 2:
-                    (rob_count, committed_total,
-                     l1_avail, lvc_avail) = commit_tick(
-                        now, rob_count, committed_total,
-                        l1_avail, lvc_avail)
+                # (A slot holds a committed or a never-used entry when
+                # the ROB is empty, so the head test implies an entry.)
+                if window[committed_total & wmask].state == 2:
+                    committed_total, l1_avail, lvc_avail = commit_tick(
+                        now, index, committed_total, l1_avail, lvc_avail)
                 if store_done or overflow or ring[now & MASK]:
                     writeback_tick(now)
                 if lsq_unserviced or lvaq_unserviced:
@@ -316,30 +330,31 @@ class Processor:
                      lsq_unserviced, lvaq_unserviced) = memory_tick(
                         now, l1_avail, lvc_avail,
                         lsq_unserviced, lvaq_unserviced)
-                if sleep or ready_fifo or woken or imult_wait or fmult_wait:
+                if ready_fifo or woken or imult_wait or fmult_wait:
                     issue_tick(now)
                 if index < total:
-                    (index, rob_count,
+                    (index,
                      lsq_unserviced, lvaq_unserviced) = dispatch_tick(
-                        now, index, rob_count,
+                        now, index, committed_total,
                         lsq_unserviced, lvaq_unserviced)
 
                 # ---- cycle skip: when nothing can happen until the
                 # next scheduled completion, jump there.  Safe only when
                 # every stage is provably a no-op for the skipped cycles;
                 # see docs/perf.md for the invariant and the stall
-                # accounting.
+                # accounting.  (Blocked dispatch with work left implies
+                # a non-empty ROB.)
                 if (not ready_fifo
                         and not woken
                         and not imult_wait
                         and not fmult_wait
                         and not store_done
-                        and (index >= total or rob_count >= rob_size)
+                        and (index >= total
+                             or index - committed_total >= rob_size)
                         and lsq_unserviced == 0
                         and lvaq_unserviced == 0
                         and committed_total < total
-                        and rob_count
-                        and rob_entries[0].state != 2):
+                        and window[committed_total & wmask].state != 2):
                     target = None
                     for k in range(1, RING):
                         if ring[(now + k) & MASK]:
@@ -347,14 +362,6 @@ class Processor:
                             break
                     if overflow:
                         for t in overflow:
-                            if t > now and (target is None
-                                            or t < target):
-                                target = t
-                    # Sleeping entries wake at known cycles too (issue
-                    # pops the bucket for each cycle it ticks), so the
-                    # skip may jump straight to the earliest of them.
-                    if sleep:
-                        for t in sleep:
                             if t > now and (target is None
                                             or t < target):
                                 target = t
@@ -418,8 +425,9 @@ class Processor:
 
     def _livelock_report(self, limit: int, total: int, index: int) -> str:
         """Diagnosable cycle-limit message (satellite of ISSUE 2)."""
-        rob_entries = self._rob_entries
-        head = rob_entries[0] if rob_entries else None
+        committed = self._committed
+        head = (self._window[committed & self._wmask]
+                if index > committed else None)
         pending_events = sum(
             len(b) for b in self._ring if b
         ) + sum(len(b) for b in self._overflow.values())
@@ -433,9 +441,10 @@ class Processor:
             for queue in (self.lsq, self.lvaq))
         return (
             f"cycle limit exceeded ({limit}) at "
-            f"{self._committed}/{total} committed; "
+            f"{committed}/{total} committed; "
             f"dispatch index {index}; "
-            f"rob {len(rob_entries)}/{self._rob_size} head={head!r}; "
+            f"rob {index - committed}/{self.config.rob_size} "
+            f"head={head!r}; "
             f"{queues}; "
             f"issuable={issuable}; "
             f"scheduled_events={pending_events}"

@@ -1,19 +1,24 @@
 """Commit stage: in-order retirement; stores write their cache here.
 
 Retires up to ``issue_width`` completed instructions per cycle from the
-ROB head.  A store performs its cache write at commit — consuming a port
-(or combining into the previous same-line LVC transaction) — so a store
-that cannot get a port stalls the whole commit group
-(``stall.store_port``).  Retired memory ops are dropped from their queue
-head, and this stage is the sole writer of the queues' ``base`` /
-``_ns_head`` compaction state.  A retiring entry's destination comes
-from the stream's ``dst_of`` column at its ``inst`` index.
+ROB head, the window slot ``committed_total & wmask``.  A store performs
+its cache write at commit — consuming a port (or combining into the
+previous same-line LVC transaction) — so a store that cannot get a port
+stalls the whole commit group (``stall.store_port``).  Retired memory
+ops are dropped from their queue head by count: a queue's committed
+entries are exactly its prefix of the ops retired this tick, earlier
+ones having been dropped when they retired.  This stage is the sole
+writer of the queues' ``base`` / ``_ns_head`` compaction state.
+
+Retiring is marking the entry COMMITTED and counting it: the register
+map holds positions, and a position below ``committed_total`` reads as
+committed, so nothing is cleared.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
-``tick(now, rob_count, committed_total, l1_avail, lvc_avail)``
+``tick(now, index, committed_total, l1_avail, lvc_avail)``
     must only be called when the ROB head exists and is COMPLETED;
-    returns the four scalars updated.
+    returns ``committed_total`` and the port budgets updated.
 ``finish()``
     returns this stage's counter contributions (prefixed ``_`` for
     shares the processor applies to objects rather than named counters).
@@ -29,13 +34,10 @@ from repro.core.stages.state import CoreState
 def bind(state: CoreState):
     """Close over the commit working set; returns ``(tick, finish)``."""
     width = state.width
-    dst_of = state.dst_of
+    window = state.window
+    wmask = state.wmask
     combining = state.combining
     combine_window = combining > 1
-    rob_entries = state.rob_entries
-    rob_popleft = rob_entries.popleft
-    producer = state.producer
-    free_entries = state.free_entries
 
     lsq = state.lsq
     lvaq = state.lvaq
@@ -81,11 +83,9 @@ def bind(state: CoreState):
     # call time, so every use inside the hot loop is a plain local
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
-    def tick(now, rob_count, committed_total, l1_avail, lvc_avail,
-             width=width, dst_of=dst_of, combining=combining,
-             combine_window=combine_window, rob_entries=rob_entries,
-             rob_popleft=rob_popleft, producer=producer,
-             free_entries=free_entries, lsq=lsq, lvaq=lvaq,
+    def tick(now, index, committed_total, l1_avail, lvc_avail,
+             width=width, window=window, wmask=wmask, combining=combining,
+             combine_window=combine_window, lsq=lsq, lvaq=lvaq,
              lsq_entries=lsq_entries, lvaq_entries=lvaq_entries,
              lsq_ns=lsq_ns, lvaq_ns=lvaq_ns,
              lsq_words=lsq_words, lvaq_words=lvaq_words,
@@ -100,22 +100,20 @@ def bind(state: CoreState):
              lvc_dirty=lvc_dirty, lvc_pending=lvc_pending):
         nonlocal n_stall_store_port, n_lvaq_store_combined
         nonlocal cm_l1_fast, cm_lvc_fast, cm_l1_busy, cm_lvc_busy
-        entry = rob_entries[0]
-        budget = width
+        stop = committed_total + width
+        if stop > index:
+            stop = index
+        entry = window[committed_total & wmask]
         combine_side: Optional[bool] = None
         combine_line = -1
         combine_left = 0
-        retired_lsq = False
-        retired_lvaq = False
+        drop_lsq = 0
+        drop_lvaq = 0
         while True:
             qe = entry.mem
             if qe is not None:
-                if qe.use_lvc:
-                    retired_lvaq = True
-                else:
-                    retired_lsq = True
+                use_lvc = qe.use_lvc
                 if qe.is_store:
-                    use_lvc = qe.use_lvc
                     if (combine_window
                             and use_lvc
                             and combine_side == use_lvc
@@ -187,124 +185,105 @@ def bind(state: CoreState):
                                 l1_dirty.add(line_no)
                             else:
                                 ready_l1(addr, True, now)
-            rob_popleft()
-            rob_count -= 1
+                # Counted only here, past the store-port test: a store
+                # that stalled does not retire.
+                if use_lvc:
+                    drop_lvaq += 1
+                else:
+                    drop_lsq += 1
             entry.state = 3
-            dst = dst_of[entry.inst]
-            # producer[] is only ever written for dst > 0 (dispatch),
-            # so 0 cannot match.
-            if dst > 0 and producer[dst] is entry:
-                producer[dst] = None
-            consumers = entry.consumers
-            if consumers:
-                consumers.clear()
-            if not entry.in_issuable:
-                free_entries.append(entry)
             committed_total += 1
-            budget -= 1
-            if budget == 0 or rob_count == 0:
+            if committed_total == stop:
                 break
-            entry = rob_entries[0]
+            entry = window[committed_total & wmask]
             if entry.state != 2:
                 break
-        # A retire pass with nothing committed at a queue head is a
-        # no-op, so a flag set by a store that then stalled on its port
-        # is harmless.  Both blocks retire a queue's committed prefix:
-        # drop it, unhook each dropped store from its word/frame
-        # bucket, and advance the non-sp-store cursor past retired
-        # positions.  This stage is the only writer of ``base`` /
-        # ``_ns_head``, kept canonical on the queues.
-        if retired_lsq:
+        # Both blocks retire a queue's committed prefix: drop it,
+        # unhook each dropped store from its word/frame bucket, and
+        # advance the non-sp-store cursor past retired positions.  This
+        # stage is the only writer of ``base`` / ``_ns_head``, kept
+        # canonical on the queues.
+        if drop_lsq:
             q_entries = lsq_entries
-            q_n = len(q_entries)
-            drop = 0
-            while drop < q_n and q_entries[drop].rob.state == 3:
-                drop += 1
-            if drop:
-                for i2 in range(drop):
-                    qe2 = q_entries[i2]
-                    if not qe2.is_store:
-                        continue
-                    word = qe2.word
-                    if word >= 0:
-                        b2 = lsq_words.get(word)
-                        if b2 is not None:
+            for i2 in range(drop_lsq):
+                qe2 = q_entries[i2]
+                if not qe2.is_store:
+                    continue
+                word = qe2.word
+                if word >= 0:
+                    b2 = lsq_words.get(word)
+                    if b2 is not None:
+                        try:
+                            b2.remove(qe2)
+                        except ValueError:
+                            pass
+                        if not b2:
+                            del lsq_words[word]
+                if qe2.sp_based and qe2.frame_key is not None:
+                    b2 = lsq_sp.get(qe2.frame_key)
+                    if b2 is not None:
+                        if b2 and b2[0] is qe2:
+                            del b2[0]
+                        else:
                             try:
                                 b2.remove(qe2)
                             except ValueError:
                                 pass
-                            if not b2:
-                                del lsq_words[word]
-                    if qe2.sp_based and qe2.frame_key is not None:
-                        b2 = lsq_sp.get(qe2.frame_key)
-                        if b2 is not None:
-                            if b2 and b2[0] is qe2:
-                                del b2[0]
-                            else:
-                                try:
-                                    b2.remove(qe2)
-                                except ValueError:
-                                    pass
-                            if not b2:
-                                del lsq_sp[qe2.frame_key]
-                del q_entries[:drop]
-                lsq_base = lsq.base + drop
-                lsq.base = lsq_base
-                ns2 = lsq_ns
-                h2 = lsq._ns_head
-                m2 = len(ns2)
-                while h2 < m2 and ns2[h2].pos < lsq_base:
-                    h2 += 1
-                if h2 >= 64:
-                    del ns2[:h2]
-                    h2 = 0
-                lsq._ns_head = h2
-        if retired_lvaq:
+                        if not b2:
+                            del lsq_sp[qe2.frame_key]
+            del q_entries[:drop_lsq]
+            lsq_base = lsq.base + drop_lsq
+            lsq.base = lsq_base
+            ns2 = lsq_ns
+            h2 = lsq._ns_head
+            m2 = len(ns2)
+            while h2 < m2 and ns2[h2].pos < lsq_base:
+                h2 += 1
+            if h2 >= 64:
+                del ns2[:h2]
+                h2 = 0
+            lsq._ns_head = h2
+        if drop_lvaq:
             q_entries = lvaq_entries
-            q_n = len(q_entries)
-            drop = 0
-            while drop < q_n and q_entries[drop].rob.state == 3:
-                drop += 1
-            if drop:
-                for i2 in range(drop):
-                    qe2 = q_entries[i2]
-                    if not qe2.is_store:
-                        continue
-                    word = qe2.word
-                    if word >= 0:
-                        b2 = lvaq_words.get(word)
-                        if b2 is not None:
+            for i2 in range(drop_lvaq):
+                qe2 = q_entries[i2]
+                if not qe2.is_store:
+                    continue
+                word = qe2.word
+                if word >= 0:
+                    b2 = lvaq_words.get(word)
+                    if b2 is not None:
+                        try:
+                            b2.remove(qe2)
+                        except ValueError:
+                            pass
+                        if not b2:
+                            del lvaq_words[word]
+                if qe2.sp_based and qe2.frame_key is not None:
+                    b2 = lvaq_sp.get(qe2.frame_key)
+                    if b2 is not None:
+                        if b2 and b2[0] is qe2:
+                            del b2[0]
+                        else:
                             try:
                                 b2.remove(qe2)
                             except ValueError:
                                 pass
-                            if not b2:
-                                del lvaq_words[word]
-                    if qe2.sp_based and qe2.frame_key is not None:
-                        b2 = lvaq_sp.get(qe2.frame_key)
-                        if b2 is not None:
-                            if b2 and b2[0] is qe2:
-                                del b2[0]
-                            else:
-                                try:
-                                    b2.remove(qe2)
-                                except ValueError:
-                                    pass
-                            if not b2:
-                                del lvaq_sp[qe2.frame_key]
-                del q_entries[:drop]
-                lvaq_base = lvaq.base + drop
-                lvaq.base = lvaq_base
-                ns2 = lvaq_ns
-                h2 = lvaq._ns_head
-                m2 = len(ns2)
-                while h2 < m2 and ns2[h2].pos < lvaq_base:
-                    h2 += 1
-                if h2 >= 64:
-                    del ns2[:h2]
-                    h2 = 0
-                lvaq._ns_head = h2
-        return rob_count, committed_total, l1_avail, lvc_avail
+                        if not b2:
+                            del lvaq_sp[qe2.frame_key]
+            del q_entries[:drop_lvaq]
+            lvaq_base = lvaq.base + drop_lvaq
+            lvaq.base = lvaq_base
+            ns2 = lvaq_ns
+            h2 = lvaq._ns_head
+            m2 = len(ns2)
+            while h2 < m2 and ns2[h2].pos < lvaq_base:
+                h2 += 1
+            if h2 >= 64:
+                del ns2[:h2]
+                h2 = 0
+            lvaq._ns_head = h2
+        return committed_total, l1_avail, lvc_avail
 
     def finish():
         return {

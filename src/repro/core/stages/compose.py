@@ -73,13 +73,14 @@ from repro.core.stages import writeback as writeback_stage
 #: a deduped shared binding is always defined before later stages use it.
 _STAGES = (
     (commit_stage, "commit",
-     ("now", "rob_count", "committed_total", "l1_avail", "lvc_avail")),
+     ("now", "index", "committed_total", "l1_avail", "lvc_avail")),
     (writeback_stage, "writeback", ("now",)),
     (memory_stage, "memory",
      ("now", "l1_avail", "lvc_avail", "lsq_unserviced", "lvaq_unserviced")),
     (issue_stage, "issue", ("now",)),
     (dispatch_stage, "dispatch",
-     ("now", "index", "rob_count", "lsq_unserviced", "lvaq_unserviced")),
+     ("now", "index", "committed_total", "lsq_unserviced",
+      "lvaq_unserviced")),
 )
 
 #: finish() parameters the composer knows how to supply.
@@ -307,7 +308,6 @@ def _fused_run(self, state):
     # ---- kernel-owned scalars ----------------------------------------
     index = 0
     limit = total * 80 + 1000
-    rob_count = len(rob_entries)
     lsq_unserviced = lsq.unserviced_loads
     lvaq_unserviced = lvaq.unserviced_loads
     l1_new_cycle = l1_ports.new_cycle
@@ -346,7 +346,7 @@ def _fused_run(self, state):
                 else:
                     lvc_new_cycle()
             # ---- commit -------------------------------------------
-            if rob_count and rob_entries[0].state == 2:
+            if window[committed_total & wmask].state == 2:
                 TICK_commit
             # ---- writeback ----------------------------------------
             if store_done or overflow or ring[now & MASK]:
@@ -355,7 +355,7 @@ def _fused_run(self, state):
             if lsq_unserviced or lvaq_unserviced:
                 TICK_memory
             # ---- issue --------------------------------------------
-            if sleep or ready_fifo or woken or imult_wait or fmult_wait:
+            if ready_fifo or woken or imult_wait or fmult_wait:
                 TICK_issue
             # ---- dispatch -----------------------------------------
             if index < total:
@@ -366,12 +366,12 @@ def _fused_run(self, state):
                     and not imult_wait
                     and not fmult_wait
                     and not store_done
-                    and (index >= total or rob_count >= rob_size)
+                    and (index >= total
+                         or index - committed_total >= rob_size)
                     and lsq_unserviced == 0
                     and lvaq_unserviced == 0
                     and committed_total < total
-                    and rob_count
-                    and rob_entries[0].state != 2):
+                    and window[committed_total & wmask].state != 2):
                 target = None
                 for k in range(1, RING):
                     if ring[(now + k) & MASK]:
@@ -379,14 +379,6 @@ def _fused_run(self, state):
                         break
                 if overflow:
                     for t in overflow:
-                        if t > now and (target is None
-                                        or t < target):
-                            target = t
-                # Sleeping entries wake at known cycles too (issue pops
-                # the bucket for each cycle it ticks), so the skip may
-                # jump straight to the earliest of them.
-                if sleep:
-                    for t in sleep:
                         if t > now and (target is None
                                         or t < target):
                             target = t

@@ -5,9 +5,18 @@ stream into the ROB, steering each memory reference to the LSQ or LVAQ
 (local-hint shortcut, then the stream partitioner), running the
 source-operand scoreboard check, and resolving store addresses early
 when the base register is already available (STA/STD split).  It reads
-the stream's columns at the dispatch index (``fu_of[index]``, ...) and
-stores that index in the ROB entry's ``inst``: later stages read the
-columns through it.
+the stream's columns at the dispatch index (``fu_of[index]``, ...),
+takes the window slot ``index & wmask`` for the instruction and stores
+the index in the entry's ``seq``: later stages read the columns through
+it.  The group is bounded once per cycle by the width, the frontend
+fence and the ROB room (``rob_size - (index - committed_total)``); only
+a full LSQ or LVAQ ends it early.
+
+The register map holds the position of each register's last writer
+(-1 for none).  A source is pending iff its writer has not committed
+(``p >= committed_total``) and has not completed; the position test
+comes first, because a committed writer's slot may already hold a
+younger instruction.
 
 The frontend policy gates this stage.  The ``perfect`` policy imposes
 nothing — the inner tick runs with the fence at end-of-stream, exactly
@@ -23,13 +32,12 @@ one fetch/redirect bubble and leaves the machine state untouched.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
-``tick(now, index, rob_count, lsq_unserviced, lvaq_unserviced)``
+``tick(now, index, committed_total, lsq_unserviced, lvaq_unserviced)``
     dispatches one cycle's group; the kernel skips the call once the
-    stream is exhausted (``index >= total``).  Returns the four scalars
-    updated.
+    stream is exhausted (``index >= total``).  Returns ``index`` and
+    the unserviced-load counts updated.
 ``finish()``
-    writes the sequence allocator back to the processor and returns this
-    stage's counter contributions.
+    returns this stage's counter contributions.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ from repro.core.frontend import GATE_IMISS, GATE_REDIRECT
 from repro.core.stages.state import CoreState
 from repro.isa.opcodes import FuClass
 from repro.pipeline.memqueue import MemQueueEntry
-from repro.pipeline.rob import RobEntry
 
 _LOAD = int(FuClass.LOAD)
 _STORE = int(FuClass.STORE)
@@ -47,6 +54,8 @@ _STORE = int(FuClass.STORE)
 def bind(state: CoreState):
     """Close over the dispatch working set; returns ``(tick, finish)``."""
     processor = state.processor
+    window = state.window
+    wmask = state.wmask
     fu_of = state.fu_of
     dst_of = state.dst_of
     srcs_of = state.srcs_of
@@ -62,13 +71,10 @@ def bind(state: CoreState):
     mispredict_penalty = state.mispredict_penalty
     load_fu = _LOAD
     store_fu = _STORE
-    new_rob_entry = RobEntry
     new_mem_entry = MemQueueEntry
     mem_entry_new = MemQueueEntry.__new__
     steer = state.steer
     producer = state.producer
-    free_entries = state.free_entries
-    rob_append = state.rob_entries.append
     fifo_append = state.ready_fifo.append
 
     lsq = state.lsq
@@ -89,8 +95,6 @@ def bind(state: CoreState):
     lvaq_words = lvaq._stores_by_word
     lsq_sp_set = lsq._sp_stores.setdefault
     lvaq_sp_set = lvaq._sp_stores.setdefault
-
-    seq = processor._seq
 
     n_stall_rob_full = 0
     n_stall_lsq_full = 0
@@ -122,16 +126,14 @@ def bind(state: CoreState):
     # call time, so every use inside the hot loop is a plain local
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
-    def tick(now, index, rob_count, lsq_unserviced, lvaq_unserviced,
-             fu_of=fu_of, dst_of=dst_of, srcs_of=srcs_of,
-             addr_of=addr_of, hint_of=hint_of, spb_of=spb_of,
-             frame_of=frame_of, offset_of=offset_of,
+    def tick(now, index, committed_total, lsq_unserviced, lvaq_unserviced,
+             window=window, wmask=wmask, fu_of=fu_of, dst_of=dst_of,
+             srcs_of=srcs_of, addr_of=addr_of, hint_of=hint_of,
+             spb_of=spb_of, frame_of=frame_of, offset_of=offset_of,
              total=total, width=width, rob_size=rob_size,
              decoupled=decoupled, mispredict_penalty=mispredict_penalty,
-             load_fu=load_fu, store_fu=store_fu,
-             new_rob_entry=new_rob_entry, new_mem_entry=new_mem_entry,
+             load_fu=load_fu, store_fu=store_fu, new_mem_entry=new_mem_entry,
              mem_entry_new=mem_entry_new, steer=steer, producer=producer,
-             free_entries=free_entries, rob_append=rob_append,
              fifo_append=fifo_append, lsq=lsq, lvaq=lvaq,
              lsq_entries=lsq_entries, lvaq_entries=lvaq_entries,
              lsq_size=lsq_size, lvaq_size=lvaq_size,
@@ -144,7 +146,7 @@ def bind(state: CoreState):
              gates=gates, n_gates=n_gates,
              icache_miss_latency=icache_miss_latency,
              redirect_penalty=redirect_penalty):
-        nonlocal seq, n_stall_rob_full, n_stall_lsq_full
+        nonlocal n_stall_rob_full, n_stall_lsq_full
         nonlocal n_stall_lvaq_full, n_lsq_loads, n_lsq_stores
         nonlocal n_lvaq_loads, n_lvaq_stores, n_classify_mispredictions
         nonlocal fe_ptr, fe_stall_until, fe_redirect
@@ -187,13 +189,15 @@ def bind(state: CoreState):
             # (commit is their sole writer, earlier in the cycle).
             lsq_base = lsq.base
             lvaq_base = lvaq.base
-            earliest = now + 1
-            slots = width
-            while slots:
-                slots -= 1
-                if rob_count >= rob_size:
-                    n_stall_rob_full += 1
-                    break
+            # The group: up to the width, stopping at the fence and at
+            # the first position the ROB has no room for.  Only a full
+            # LSQ or LVAQ ends it early (the `break`s below).
+            stop = index + width
+            if stop > fence:
+                stop = fence
+            room_end = committed_total + rob_size
+            for index in range(index,
+                               stop if stop < room_end else room_end):
                 fu = fu_of[index]
                 is_mem = fu == load_fu or fu == store_fu
                 to_lvaq = False
@@ -212,53 +216,55 @@ def bind(state: CoreState):
                     elif len(lsq_entries) >= lsq_size:
                         n_stall_lsq_full += 1
                         break
-                if free_entries:
-                    entry = free_entries.pop()
-                    entry.seq = seq
-                    entry.inst = index
-                    entry.state = 0
-                    entry.mem = None
-                else:
-                    entry = new_rob_entry(seq, index)
-                seq += 1
+                # The slot's last occupant, index - len(window), has
+                # committed (the ROB room bounds the group), and the
+                # issue tick of its commit cycle dropped it from the
+                # issue lanes; writeback emptied its consumer list.
+                entry = window[index & wmask]
+                entry.seq = index
+                entry.state = 0
                 # Source-operand scoreboard check, unrolled for the
                 # 0/1/2-operand cases (every ISA instruction; the loop tail
                 # keeps arbitrary tuples exact).  reg <= 0 is $zero /
-                # absent: always ready.
+                # absent: always ready.  A writer is pending iff it has
+                # not committed and not completed; test the position
+                # first, since a committed writer's slot may hold a
+                # younger instruction.
                 pending = 0
                 srcs = srcs_of[index]
                 n_srcs = len(srcs)
                 if n_srcs:
                     reg = srcs[0]
                     if reg > 0:
-                        prod = producer[reg]
-                        if prod is not None and prod.state != 2:
-                            prod.consumers.append(entry)
-                            pending = 1
+                        p = producer[reg]
+                        if p >= committed_total:
+                            prod = window[p & wmask]
+                            if prod.state != 2:
+                                prod.consumers.append(entry)
+                                pending = 1
                     if n_srcs > 1:
                         reg = srcs[1]
                         if reg > 0:
-                            prod = producer[reg]
-                            if (prod is not None
-                                    and prod.state != 2):
-                                prod.consumers.append(entry)
-                                pending += 1
+                            p = producer[reg]
+                            if p >= committed_total:
+                                prod = window[p & wmask]
+                                if prod.state != 2:
+                                    prod.consumers.append(entry)
+                                    pending += 1
                         if n_srcs > 2:
                             for reg in srcs[2:]:
                                 if reg <= 0:
                                     continue
-                                prod = producer[reg]
-                                if (prod is not None
-                                        and prod.state != 2):
-                                    prod.consumers.append(entry)
-                                    pending += 1
+                                p = producer[reg]
+                                if p >= committed_total:
+                                    prod = window[p & wmask]
+                                    if prod.state != 2:
+                                        prod.consumers.append(entry)
+                                        pending += 1
                 entry.pending = pending
-                entry.earliest = earliest
                 dst = dst_of[index]
                 if dst > 0:
-                    producer[dst] = entry
-                rob_append(entry)  # size checked above
-                rob_count += 1
+                    producer[dst] = index
                 if is_mem:
                     sp_based = spb_of[index]
                     is_store = fu == store_fu
@@ -270,7 +276,6 @@ def bind(state: CoreState):
                     qe.word = -1
                     qe.line = -1
                     qe.addr_known_time = -1
-                    qe.dispatch_time = now
                     qe.serviced = False
                     qe.sp_based = sp_based
                     qe.frame_key = ((frame_of[index], offset_of[index])
@@ -318,10 +323,10 @@ def bind(state: CoreState):
                         # waits for the store *data*, so it stops blocking
                         # younger loads' disambiguation almost immediately.
                         base_reg = srcs[0] if srcs else 0
-                        prod = (producer[base_reg]
-                                if base_reg > 0 else None)
-                        if prod is None or prod.state == 2:
-                            qe.addr_known_time = earliest
+                        p = producer[base_reg] if base_reg > 0 else -1
+                        if (p < committed_total
+                                or window[p & wmask].state == 2):
+                            qe.addr_known_time = now + 1
                             word = qe.word = addr_of[index] >> 2
                             qe.line = word >> 3  # addr >> 5
                             if to_lvaq:
@@ -346,12 +351,19 @@ def bind(state: CoreState):
                         n_lsq_loads += 1
                     if mispredicted:
                         n_classify_mispredictions += 1
+                else:
+                    entry.mem = None
                 if pending == 0:
-                    entry.in_issuable = True
                     fifo_append(entry)
-                index += 1
-                if index >= fence:
-                    break
+            else:
+                # No queue filled.  When the ROB room, not the width or
+                # the fence, bounded the group, its next slot met a full
+                # ROB.
+                if stop > room_end:
+                    n_stall_rob_full += 1
+                    index = room_end
+                else:
+                    index = stop
             if gates is not None and fe_ptr < n_gates:
                 g, code = gates[fe_ptr]
                 if index > g and code & GATE_REDIRECT:
@@ -361,10 +373,9 @@ def bind(state: CoreState):
                     fe_ptr += 1
                     fe_stall_until = now + 1 + redirect_penalty
                     fe_redirect = True
-        return index, rob_count, lsq_unserviced, lvaq_unserviced
+        return index, lsq_unserviced, lvaq_unserviced
 
     def finish():
-        processor._seq = seq
         counters = {
             "stall.rob_full": n_stall_rob_full,
             "stall.lsq_full": n_stall_lsq_full,

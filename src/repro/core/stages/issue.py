@@ -1,16 +1,27 @@
 """Issue stage: ready instructions grab issue slots and functional units.
 
 The issuable set is two seq-ordered lanes merged oldest-first — a FIFO
-for dispatch-ready entries (dispatch runs in seq order) and a heap for
-entries woken out of order by writeback — plus a sleep dict for entries
-whose operands are complete but not yet forwardable.  Memory ops perform
-address generation here (stores may already have resolved theirs via the
-STA split); stores then go to the dedicated store-done lane, everything
-else schedules its completion on the calendar.  A load is also bucketed
-for the memory stage's eligibility walk at the first cycle it can act:
-its address-known cycle, later by the misprediction penalty if it has
-one.  An entry's functional unit and address come from the stream's
-``fu_of``/``addr_of`` columns at its ``inst`` index.
+of the entries ready at dispatch (dispatch runs in seq order) and a heap
+of the positions writeback wakes out of order, read through the window
+ring (``window[seq & wmask]``).  Memory ops perform address generation
+here (stores may already have resolved theirs via the STA split);
+stores then go to the dedicated store-done lane, everything else
+schedules its completion on the calendar.  A load is also bucketed for
+the memory stage's eligibility walk at the first cycle it can act: its
+address-known cycle, later by the misprediction penalty if it has one.
+An entry's functional unit and address come from the stream's
+``fu_of``/``addr_of`` columns at its ``seq``.
+
+A lane may still list an instruction that no longer waits (a
+fast-forwarded load): it leaves, lazily, when it reaches the front,
+without using an issue slot.  Its window slot is not taken again while
+it is listed: only dispatch reuses a slot, after this tick, in a cycle
+in which the slot's instruction has committed, and a committed
+instruction is older than every uncommitted one, so this tick, which
+runs because the lane is non-empty, takes it before any live entry.
+(A listed instruction in fact never commits: a tick that leaves one
+listed spent the width on older ops, which commit two cycles later at
+the earliest.)
 
 The pipelined ALU pools refill at the top of the tick rather than once
 per cycle: nothing but this stage consumes them, so a skipped tick's
@@ -18,19 +29,20 @@ stale budget is unobservable.  ``finish(final_now)`` reconstructs the
 exact end-of-run pool state from the last tick cycle.
 
 An op its MULT/DIV pool refuses waits outside the lanes, in that pool's
-seq-ordered wait list, until a unit frees.  Each tick moves the k oldest
-waiters back into the heap lane, k being the pool's units free now, and
-charges every other waiter its ``stall.fu`` without examining it: the k
-moved ones are older and draw on the same pool, so by a held op's turn
-each has taken a unit or found none, and no unit frees within a cycle.
+sorted list of positions, until a unit frees.  Each tick moves the k
+oldest waiters back into the heap lane, k being the pool's units free
+now, and charges every other waiter its ``stall.fu`` without examining
+it: the k moved ones are older and draw on the same pool, so by a held
+op's turn each has taken a unit or found none, and no unit frees within
+a cycle.
 A held op is charged only if the width budget lasts to its turn, as it
 would be examined only then.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
 ``tick(now)``
-    may be called every cycle; the kernel skips it when the sleep dict,
-    both lanes and both wait lists are empty (provably a no-op).
+    may be called every cycle; the kernel skips it when both lanes and
+    both wait lists are empty (provably a no-op).
 ``finish(final_now)``
     writes the ALU budgets back to the pool and returns this stage's
     counter contributions.
@@ -49,6 +61,8 @@ from repro.pipeline.fu import FU_KIND
 def bind(state: CoreState):
     """Close over the issue working set; returns ``(tick, finish)``."""
     width = state.width
+    window = state.window
+    wmask = state.wmask
     fu_of = state.fu_of
     addr_of = state.addr_of
     fu_kind = FU_KIND
@@ -57,9 +71,6 @@ def bind(state: CoreState):
     ready_fifo = state.ready_fifo
     fifo_popleft = ready_fifo.popleft
     woken = state.woken
-    sleep = state.sleep
-    sleep_get = sleep.get
-    sleep_pop = sleep.pop
     store_done_append = state.store_done.append
     lsq = state.lsq
     lvaq = state.lvaq
@@ -67,7 +78,7 @@ def bind(state: CoreState):
     lvaq_words = lvaq._stores_by_word
     agen_ready_lsq = lsq._addr_ready
     agen_ready_lvaq = lvaq._addr_ready
-    # (seq, entry) of the ops each MULT/DIV pool refused, in seq order,
+    # The positions of the ops each MULT/DIV pool refused, in order,
     # and the pool's per-unit busy-until times.
     imult_wait = state.imult_wait
     fmult_wait = state.fmult_wait
@@ -90,11 +101,10 @@ def bind(state: CoreState):
     # call time, so every use inside the hot loops is a plain local
     # (LOAD_FAST) access instead of a closure (LOAD_DEREF) one.  The
     # kernel never passes them.
-    def tick(now, width=width, fu_of=fu_of, addr_of=addr_of,
-             fu_kind=fu_kind, latency=latency,
+    def tick(now, width=width, window=window, wmask=wmask, fu_of=fu_of,
+             addr_of=addr_of, fu_kind=fu_kind, latency=latency,
              ring=ring, ready_fifo=ready_fifo, fifo_popleft=fifo_popleft,
-             woken=woken, sleep=sleep, sleep_get=sleep_get,
-             sleep_pop=sleep_pop, store_done_append=store_done_append,
+             woken=woken, store_done_append=store_done_append,
              lsq_words=lsq_words, lvaq_words=lvaq_words,
              agen_ready_lsq=agen_ready_lsq,
              agen_ready_lvaq=agen_ready_lvaq,
@@ -107,11 +117,6 @@ def bind(state: CoreState):
         ialu_left = n_ialu
         falu_left = n_falu
         last_tick = now
-        if sleep:
-            slept = sleep_pop(now, None)
-            if slept is not None:
-                for entry in slept:
-                    heappush(woken, (entry.seq, entry))
         # MULT/DIV waiters: one per unit free now re-enters the heap
         # lane, oldest first; the rest are held and charged here (the
         # module docstring says why they would be refused).
@@ -121,8 +126,8 @@ def bind(state: CoreState):
                 if t <= now:
                     k += 1
             if k:
-                for item in imult_wait[:k]:
-                    heappush(woken, item)
+                for seq in imult_wait[:k]:
+                    heappush(woken, seq)
                 del imult_wait[:k]
             n_stall_fu += len(imult_wait)
         if fmult_wait:
@@ -131,8 +136,8 @@ def bind(state: CoreState):
                 if t <= now:
                     k += 1
             if k:
-                for item in fmult_wait[:k]:
-                    heappush(woken, item)
+                for seq in fmult_wait[:k]:
+                    heappush(woken, seq)
                 del fmult_wait[:k]
             n_stall_fu += len(fmult_wait)
         budget = width
@@ -147,18 +152,9 @@ def bind(state: CoreState):
                 entry = ready_fifo[0]
                 if entry.state != 0:
                     fifo_popleft()
-                    entry.in_issuable = False
                     continue
-                if entry.earliest > now:
-                    fifo_popleft()
-                    e2 = entry.earliest
-                    b2 = sleep_get(e2)
-                    if b2 is None:
-                        sleep[e2] = [entry]
-                    else:
-                        b2.append(entry)
-                    continue
-                fu = fu_of[entry.inst]
+                seq = entry.seq
+                fu = fu_of[seq]
                 kind = fu_kind[fu]
                 if kind == 0:
                     if ialu_left:
@@ -178,19 +174,18 @@ def bind(state: CoreState):
                     fifo_popleft()
                     n_stall_fu += 1
                     if deferred is None:
-                        deferred = [entry]
+                        deferred = [seq]
                     else:
-                        deferred.append(entry)
+                        deferred.append(seq)
                     continue
                 fifo_popleft()
                 budget -= 1
                 entry.state = 1
-                entry.in_issuable = False
                 qe = entry.mem
                 if qe is not None:
                     if qe.addr_known_time < 0:
                         qe.addr_known_time = now + 1
-                        word = qe.word = addr_of[entry.inst] >> 2
+                        word = qe.word = addr_of[seq] >> 2
                         qe.line = word >> 3  # addr >> 5
                         if qe.is_store:
                             if qe.use_lvc:
@@ -237,13 +232,16 @@ def bind(state: CoreState):
                 # Merge the two seq-ordered lanes: oldest first.
                 if ready_fifo:
                     entry = ready_fifo[0]
-                    if woken and woken[0][0] < entry.seq:
-                        entry = woken[0][1]
+                    seq = entry.seq
+                    if woken and woken[0] < seq:
+                        seq = woken[0]
+                        entry = window[seq & wmask]
                         from_fifo = False
                     else:
                         from_fifo = True
                 elif woken:
-                    entry = woken[0][1]
+                    seq = woken[0]
+                    entry = window[seq & wmask]
                     from_fifo = False
                 else:
                     break
@@ -254,21 +252,8 @@ def bind(state: CoreState):
                         fifo_popleft()
                     else:
                         heappop(woken)
-                    entry.in_issuable = False
                     continue
-                if entry.earliest > now:
-                    if from_fifo:
-                        fifo_popleft()
-                    else:
-                        heappop(woken)
-                    e2 = entry.earliest
-                    b2 = sleep_get(e2)
-                    if b2 is None:
-                        sleep[e2] = [entry]
-                    else:
-                        b2.append(entry)
-                    continue
-                fu = fu_of[entry.inst]
+                fu = fu_of[seq]
                 kind = fu_kind[fu]
                 if kind == 0:
                     if ialu_left:
@@ -291,9 +276,9 @@ def bind(state: CoreState):
                         heappop(woken)
                     n_stall_fu += 1
                     if deferred is None:
-                        deferred = [entry]
+                        deferred = [seq]
                     else:
-                        deferred.append(entry)
+                        deferred.append(seq)
                     continue
                 if from_fifo:
                     fifo_popleft()
@@ -301,14 +286,13 @@ def bind(state: CoreState):
                     heappop(woken)
                 budget -= 1
                 entry.state = 1
-                entry.in_issuable = False
                 qe = entry.mem
                 if qe is not None:
                     # Address generation: address known next cycle
                     # (stores may already have resolved theirs).
                     if qe.addr_known_time < 0:
                         qe.addr_known_time = now + 1
-                        word = qe.word = addr_of[entry.inst] >> 2
+                        word = qe.word = addr_of[seq] >> 2
                         qe.line = word >> 3  # addr >> 5
                         if qe.is_store:
                             if qe.use_lvc:
@@ -361,28 +345,27 @@ def bind(state: CoreState):
                     else:
                         bucket.append(entry)
         if not budget and (imult_wait or fmult_wait):
-            # The width ran out at `entry`, the op that took the last
+            # The width ran out at `seq`, the op that took the last
             # slot: the held waiters younger than it were never reached,
             # so take back their charge.
-            key = (entry.seq,)
-            n_stall_fu -= (len(imult_wait) - bisect_left(imult_wait, key)
-                           + len(fmult_wait) - bisect_left(fmult_wait, key))
+            n_stall_fu -= (len(imult_wait) - bisect_left(imult_wait, seq)
+                           + len(fmult_wait) - bisect_left(fmult_wait, seq))
         if deferred:
-            for entry in deferred:
-                kind = fu_kind[fu_of[entry.inst]]
+            for seq in deferred:
+                kind = fu_kind[fu_of[seq]]
                 if kind < 2:
                     # The ALU budgets refill next cycle: back through
                     # the heap lane, whatever the origin; the merge
                     # restores order.
-                    heappush(woken, (entry.seq, entry))
+                    heappush(woken, seq)
                     continue
                 # No MULT/DIV unit frees before next cycle: wait
                 # outside the lanes.
                 wait = imult_wait if kind == 2 else fmult_wait
-                if wait and wait[-1][0] > entry.seq:
-                    insort(wait, (entry.seq, entry))
+                if wait and wait[-1] > seq:
+                    insort(wait, seq)
                 else:
-                    wait.append((entry.seq, entry))
+                    wait.append(seq)
         left_after = (ialu_left, falu_left)
 
     def finish(final_now):

@@ -298,7 +298,7 @@ def bind(state: CoreState):
                     if source is None:
                         continue
                     src_rob = source.rob
-                    if src_rob.pending or src_rob.earliest > now:
+                    if src_rob.pending:
                         continue  # the store's data is not produced yet
                     # The match resolves before address generation, but
                     # the transfer still occupies an LVC port (the queue
@@ -312,7 +312,7 @@ def bind(state: CoreState):
                         lvc_avail -= 1
                         lvc_busy += 1
                     elif not lvc_try_take(
-                            1, line=addr_of[src_rob.inst] >> 5,
+                            1, line=addr_of[src_rob.seq] >> 5,
                             is_store=False):
                         n_stall_lvaq_port += 1
                         ports_exhausted = True

@@ -86,7 +86,7 @@ class SpecializeError(RuntimeError):
 #: unless it is stored exactly once and evaluates to a bool/int.
 CONST_NAMES = frozenset({
     # dispatch / template
-    "width", "rob_size", "decoupled", "mispredict_penalty",
+    "width", "rob_size", "wmask", "decoupled", "mispredict_penalty",
     "load_fu", "store_fu", "lsq_size", "lvaq_size",
     "icache_miss_latency", "redirect_penalty",
     # memory / commit

@@ -2,23 +2,28 @@
 
 One :class:`CoreState` is built per ``Processor.run`` call.  It gathers
 every structure the stage components share — the committed stream's
-columns, the window (ROB, issue lanes, completion calendar), the memory
-system, the functional units, and the configuration scalars — so each
-stage's ``bind`` factory reads its working set from one place and closes
-over it.
+columns, the window (the ring of in-flight entries, issue lanes,
+completion calendar), the memory system, the functional units, and the
+configuration scalars — so each stage's ``bind`` factory reads its
+working set from one place and closes over it.
 
 The containers referenced here are *the* canonical objects: stages
-mutate them in place (the calendar ring, the issue lanes, the memory
-queues' internal index lists), which is what lets five independent
-closures cooperate without a message-passing layer.  Scalar per-cycle
-state (port budgets, dispatch index, occupancy counts) is owned by the
-kernel loop and threaded through tick arguments/returns instead — see
-``docs/timing_model.md`` for the full ownership map.
+mutate them in place (the window ring, the calendar ring, the issue
+lanes, the memory queues' internal index lists), which is what lets
+five independent closures cooperate without a message-passing layer.
+Scalar per-cycle state (port budgets, the dispatch index and committed
+count, unserviced-load counts) is owned by the kernel loop and threaded
+through tick arguments/returns instead — see ``docs/timing_model.md``
+for the full ownership map.
+
+An in-flight instruction is named by its stream position: instruction
+*i* lives in ``window[i & wmask]``, and the register map, the issue
+heap and the MULT/DIV wait lists hold positions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.isa.opcodes import LATENCY_BY_INT
 from repro.mem.ports import PortArbiter
@@ -40,7 +45,7 @@ class CoreState:
         self.processor = processor
         # -- the committed stream (repro.vm.trace.Stream) --------------
         # Stages read the columns by instruction index; a ROB entry's
-        # ``inst`` is that index.
+        # ``seq`` is that index.
         self.stream = stream
         self.total = len(stream)
         self.fu_of = stream.fu
@@ -61,7 +66,11 @@ class CoreState:
         self.mispredict_penalty = config.decouple.mispredict_penalty
 
         # -- window structures ----------------------------------------
-        self.rob_entries = processor.rob.entries
+        # The ring of in-flight entries (size a power of two >=
+        # rob_size): slot i & wmask is taken again only by dispatching
+        # i + len(window), which needs i committed.
+        self.window = processor._window
+        self.wmask = processor._wmask
         self.ready_fifo = processor._ready_fifo
         self.woken = processor._issuable
         self.imult_wait = processor._imult_wait
@@ -69,15 +78,8 @@ class CoreState:
         self.ring = processor._ring
         self.overflow = processor._overflow
         self.producer = processor._producer
-        # Entries whose operands are complete but not yet forwardable
-        # (earliest > now) sleep here, keyed by that cycle, instead of
-        # churning through the issue lanes every cycle.
-        self.sleep: Dict[int, List[RobEntry]] = {}
         # Stores issued this cycle, completing next cycle (writeback).
         self.store_done: List[RobEntry] = []
-        # Committed ROB entries recycled by dispatch; an entry still
-        # sitting stale in an issue lane (in_issuable) is not recycled.
-        self.free_entries: List[RobEntry] = []
 
         # -- execution resources --------------------------------------
         self.fus = processor.fus

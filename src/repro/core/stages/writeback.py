@@ -4,11 +4,17 @@ Drains this cycle's bucket of the 256-slot completion calendar (plus any
 overflowed far events and the dedicated issued-store lane), marks the
 completing entries COMPLETED, and decrements each consumer's pending
 count — waking consumers whose operands just became complete into the
-issue stage's heap lane.  The STA split lives here too: a store whose
-*base register* just arrived resolves its address immediately, off the
-issue path.  Destinations, sources and addresses come from the stream's
-``dst_of``/``srcs_of``/``addr_of`` columns at each entry's ``inst``
-index.
+issue stage's heap lane, as positions.  The STA split lives here too: a
+store whose *base register* just arrived resolves its address
+immediately, off the issue path.  Destinations, sources and addresses
+come from the stream's ``dst_of``/``srcs_of``/``addr_of`` columns at
+each entry's ``seq``.
+
+Every completion of an entry with consumers passes through here and
+empties its consumer list, and dispatch never adds a consumer to a
+completed entry: a committed entry's list is empty, so its window slot
+needs no clearing.  The consumers listed wait on the entry, so none has
+committed and each names its own instruction.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
@@ -71,20 +77,20 @@ def bind(state: CoreState):
                 consumers = entry.consumers
                 if not consumers:
                     continue
-                produced = dst_of[entry.inst]
+                produced = dst_of[entry.seq]
                 for consumer in consumers:
                     pending = consumer.pending - 1
                     consumer.pending = pending
                     qe = consumer.mem
                     if (qe is not None and qe.is_store
                             and qe.addr_known_time < 0):
-                        srcs = srcs_of[consumer.inst]
+                        srcs = srcs_of[consumer.seq]
                         if srcs and srcs[0] == produced:
                             # STA split: the store's address computes as
                             # soon as its base register arrives, off the
                             # issue path.
                             qe.addr_known_time = now + 1
-                            word = qe.word = addr_of[consumer.inst] >> 2
+                            word = qe.word = addr_of[consumer.seq] >> 2
                             qe.line = word >> 3  # addr >> 5
                             if qe.use_lvc:
                                 b2 = lvaq_words.get(word)
@@ -99,11 +105,7 @@ def bind(state: CoreState):
                                 else:
                                     b2.append(qe)
                     if pending == 0 and consumer.state == 0:
-                        if consumer.earliest < now:
-                            consumer.earliest = now
-                        if not consumer.in_issuable:
-                            consumer.in_issuable = True
-                            heappush(woken, (consumer.seq, consumer))
+                        heappush(woken, consumer.seq)
                 consumers.clear()
             # Leave the drained bucket in its slot for reuse; events
             # exactly one ring period out go to the overflow dict, so

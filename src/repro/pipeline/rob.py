@@ -5,7 +5,8 @@ of one dynamic instruction: how many source operands are still outstanding,
 which later entries consume its result, and when its result becomes
 available.  Register renaming falls out of the ``producer`` map kept by the
 processor: at dispatch each destination register is re-bound to the new
-entry, so anti/output dependences never stall anything.
+instruction (its position, in the timing kernel), so anti/output
+dependences never stall anything.
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ _STATE_NAMES = {
 class RobEntry:
     """One in-flight dynamic instruction.
 
-    ``inst`` is the instruction's index in the committed stream: the
-    kernel's stages read the stream's columns through it.  (The frozen
-    reference core keeps its instruction record there instead.)
+    ``seq`` is the instruction's position in the committed stream, its
+    one name in the timing kernel: the stages read the stream's columns
+    at it, and the entry lives in slot ``seq & wmask`` of the
+    processor's window ring, reused once it commits.  The kernel leaves
+    ``inst``, ``earliest``, ``in_issuable``, ``issue_time`` and
+    ``complete_time`` untouched; the frozen reference core, which
+    shares this class, numbers its entries the same way and keeps its
+    instruction record in ``inst``.
     """
 
     __slots__ = (

@@ -7,8 +7,12 @@ over real workload traces.
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.frontend import FrontendConfig
 from repro.core.processor import Processor
+from repro.core.stages import issue as issue_stage
+from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
 from repro.perf.reference import ReferenceProcessor
 from repro.pipeline.memqueue import INF_SEQ, MemQueueEntry
@@ -23,6 +27,7 @@ FMUL = int(FuClass.FMUL)
 FDIV = int(FuClass.FDIV)
 LOAD = int(FuClass.LOAD)
 STORE = int(FuClass.STORE)
+BRANCH = int(FuClass.BRANCH)
 
 STACK_ADDR = 0x7FFF0000
 DATA_ADDR = 0x10000000
@@ -516,6 +521,178 @@ def test_livelock_report_names_oldest_unknown_address_store():
             in report)
     assert (f"lvaq 0/64 (unserviced_loads=0, "
             f"oldest_unknown_store_seq={INF_SEQ})" in report)
+
+
+# -- the window ring ---------------------------------------------------------
+#
+# The kernel names an in-flight instruction by its stream position:
+# instruction i lives in window slot i & wmask, the window being the
+# least power of two >= rob_size.  A four- or six-entry ROB takes every
+# slot again every few instructions.
+
+def forwarded_pairs(trips):
+    """Per trip, an sp store whose data is ready and the sp load behind
+    it, then a multiply feeding both the data of a second sp store and
+    the base of the load behind that one.  The first load is ready at
+    dispatch (FIFO lane) and the second wakes with its store's data
+    (heap lane); each is fast-forwarded in the cycle it is listed."""
+    insts = []
+    for trip in range(trips):
+        a = trip % 4
+        b = 8 + trip % 4
+        insts += [sp_store(a), sp_load(8, a), mul(9),
+                  sp_store(b, srcs=(29, 9)), sp_load(10, b, srcs=(9,)),
+                  alu(11, (10,))]
+    return insts
+
+
+def stale_lanes(monkeypatch, insts, config):
+    """The lanes in which the portable kernel's issue tick found an
+    entry that no longer waits (a fast-forwarded load)."""
+    lanes = set()
+    bind = issue_stage.bind
+
+    def counting_bind(state):
+        tick, finish = bind(state)
+        window, wmask = state.window, state.wmask
+
+        def counting_tick(now):
+            if any(entry.state for entry in state.ready_fifo):
+                lanes.add("fifo")
+            if any(window[seq & wmask].state for seq in state.woken):
+                lanes.add("heap")
+            tick(now)
+        return counting_tick, finish
+
+    monkeypatch.setenv("REPRO_PORTABLE_KERNEL", "1")
+    monkeypatch.setattr(issue_stage, "bind", counting_bind)
+    Processor(config).run(Stream.from_insts(insts), "micro")
+    return lanes
+
+
+@pytest.mark.parametrize("rob_size", [4, 6])
+def test_tiny_rob_reuses_slots_under_fast_forwarding(rob_size, monkeypatch):
+    insts = forwarded_pairs(12)
+    kwargs = dict(l1_ports=2, lvc_ports=1, fast_forwarding=True)
+    result = run_checked(insts, core=dict(rob_size=rob_size), **kwargs)
+    assert result.counters.get("lvaq.fast_forwards") == 24
+    assert result.counters.get("stall.rob_full") > 0
+    config = MachineConfig.baseline(**kwargs)
+    config.rob_size = rob_size
+    assert stale_lanes(monkeypatch, insts, config) == {"fifo", "heap"}
+
+
+def test_committed_writers_slot_holds_a_younger_instruction():
+    # Four slots.  When the last op dispatches, the writer of its
+    # source ($8, position 0) has committed and slot 0 holds the divide
+    # at position 4, still executing: the source is ready.
+    insts = ([alu(8)] + [alu(20 + i) for i in range(3)]
+             + [div(9), alu(10, (8,)), alu(11, (10,))])
+    waits = run_checked(insts[:5] + [alu(10, (9,)), alu(11, (10,))],
+                        core=dict(rob_size=4))
+    result = run_checked(insts, core=dict(rob_size=4))
+    assert result.cycles < waits.cycles
+
+
+def test_store_base_written_by_a_committed_instruction():
+    # The store's base ($5) was written at position 0, which has
+    # committed, and slot 0 holds the divide at position 4 that the
+    # store's data waits on: the address is known at dispatch, so the
+    # load behind it need not wait for the divide.
+    head = [alu(5)] + [alu(20 + i) for i in range(3)] + [div(9)]
+    tail = [load(10, DATA_ADDR + 64), alu(11, (10,))]
+    known = run_checked(head + [store(DATA_ADDR, srcs=(5, 9))] + tail,
+                        core=dict(rob_size=4))
+    unknown = run_checked(head + [store(DATA_ADDR, srcs=(9, 9))] + tail,
+                          core=dict(rob_size=4))
+    assert known.cycles < unknown.cycles
+
+
+def test_group_bounded_by_the_rob_room():
+    # A divide holds the head while the ALU ops behind it fill the
+    # remaining slots: every cycle until it completes, dispatch meets a
+    # full ROB.
+    insts = [div(8)] + [alu(9 + i % 8) for i in range(12)]
+    result = run_checked(insts, core=dict(rob_size=6))
+    assert result.counters.get("stall.rob_full") > 30
+
+
+def gshare_loop(trips):
+    """A five-op dependence chain and a backward branch, *trips* times;
+    the branch mispredicts until gshare learns it."""
+    insts = []
+    for _ in range(trips):
+        insts += [DynInst(IALU, dst=8 + i, srcs=(7 + i if i else 8,), pc=i)
+                  for i in range(5)]
+        insts.append(DynInst(BRANCH, srcs=(12,), pc=5))
+    insts.append(DynInst(IALU, dst=13, srcs=(12,), pc=6))
+    return insts
+
+
+def test_group_bounded_by_the_fence(monkeypatch):
+    # After each mispredicted branch dispatch resumes at the top of the
+    # loop, with the fence after the next branch: six ops, exactly the
+    # ROB room, so the fence, not the room, bounds the group and no
+    # rob-full stall is charged for it.  The frozen reference has no
+    # gshare frontend; the counts are pinned from the deque-based ROB
+    # kernel this one replaced, and both compositions must give them.
+    config = MachineConfig.baseline(frontend=FrontendConfig("gshare"))
+    config.rob_size = 6
+    stream = Stream.from_insts(gshare_loop(12))
+    for portable in ("", "1"):
+        monkeypatch.setenv("REPRO_PORTABLE_KERNEL", portable)
+        result = Processor(config).run(stream, "loop")
+        counters = result.counters
+        assert (result.cycles, counters.get("stall.rob_full"),
+                counters.get("frontend.mispredicts"),
+                counters.get("frontend.redirect_bubbles")) == (111, 11, 10, 80)
+
+
+def test_group_bounded_by_a_full_lsq():
+    # Five cold misses fill the four-entry LSQ with ROB room left: those
+    # groups end on the LSQ.  The divide and ALU ops behind them then
+    # fill the eight-entry ROB, and only those groups charge a rob-full
+    # stall.
+    insts = []
+    for i in range(2):
+        insts += [load(8 + j, DATA_ADDR + 4096 * (5 * i + j))
+                  for j in range(5)]
+        insts += [div(13)] + [alu(14 + j % 4) for j in range(10)]
+    result = run_checked(insts, lsq_size=4, core=dict(rob_size=8))
+    assert result.counters.get("stall.lsq_full") > 0
+    assert result.counters.get("stall.rob_full") > 0
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_store_stalled_on_its_port_does_not_retire(local):
+    # One port: the second store of each commit group stalls and stays
+    # in its queue, where the loads behind forward from it.
+    base = STACK_ADDR if local else DATA_ADDR
+    stores = [store(base + 4 * i, local=local, srcs=(29, 6))
+              for i in range(12)]
+    loads = [load(8 + i % 8, base + 4 * i, local=local, srcs=(29,))
+             for i in range(12)]
+    result = run_checked(stores + loads, core=dict(rob_size=6),
+                         l1_ports=1, lvc_ports=1 if local else 0)
+    assert result.counters.get("stall.store_port") > 0
+
+
+def test_livelock_report_names_the_windows_oldest_instruction(monkeypatch):
+    # Misses never return: the load at position 9 (slot 1 of eight)
+    # stays the oldest instruction until the cycle limit, with the six
+    # ROB entries full behind it.
+    monkeypatch.setattr(MemoryHierarchy, "_miss",
+                        lambda self, start, addr, is_store: start + 10 ** 9)
+    insts = ([alu(8 + i % 8) for i in range(9)] + [load(16, DATA_ADDR)]
+             + [alu(17 + i) for i in range(8)])
+    config = MachineConfig.baseline()
+    config.rob_size = 6
+    with pytest.raises(SimulationError) as info:
+        Processor(config).run(Stream.from_insts(insts), "stuck")
+    message = str(info.value)
+    assert message.startswith("stuck: cycle limit exceeded (2440) at "
+                              "9/18 committed; dispatch index 15; ")
+    assert "rob 6/6 head=RobEntry(seq=9, ISSUED, pending=0);" in message
 
 
 # -- invariants over real traces ----------------------------------------------
